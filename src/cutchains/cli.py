@@ -11,6 +11,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Iterable
 
 from . import counting, enumeration
 from .cuts import classify_corpus, equivalent_direct, signature
@@ -42,11 +43,14 @@ def _positive(text: str) -> int:
     return value
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str | Iterable[str], output: str | None) -> None:
+    """Write text, or an iterable of text chunks as they come, to stdout or a file."""
+    chunks = [text] if isinstance(text, str) else text
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
 
 
 def _load_matrix(path: str, fmt: str) -> FuzzyMatrix:
@@ -100,13 +104,11 @@ def _cmd_count(args) -> int:
         else:
             value = counting.chain_count_rooted(m, args.k, args.root)
     elif args.k is None:
-        value = counting.total_count(args.n, method=args.method, processes=args.parallel)
+        value = counting.total_count(args.n, method=args.method)
+    elif counting._pick_method(args.method, m) == "ie":
+        value = counting.chain_count_ie(m, args.k)
     else:
-        method = args.method if args.method != "auto" else ("naive" if m <= 16 else "ie")
-        if method == "ie":
-            value = counting.chain_count_ie(m, args.k)
-        else:
-            value = counting.chain_count(m, args.k, processes=args.parallel)
+        value = counting.chain_count(m, args.k)
     print(value)
     return EXIT_OK
 
@@ -143,8 +145,8 @@ def _cmd_enumerate(args) -> int:
             ceiling=args.ceiling,
             processes=args.parallel,
         )
-        text = "".join(line + "\n" for line in lines)
-        _emit(text, args.output)
+        # chain_lines has accepted the job, so a refused one leaves no file
+        _emit((line + "\n" for line in lines), args.output)
         return EXIT_OK
     if args.group_by_sizes:
         groups = enumeration.group_by_size_vector(
@@ -231,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="chain length (omit for the total)")
     p.add_argument("--root", choices=["O", "J"], default=None)
     p.add_argument("--method", choices=["auto", "naive", "ie"], default="auto")
-    p.add_argument("--parallel", type=_positive, default=None, metavar="D")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("table", help="per-k counts and totals for n = 0..max-n")

@@ -5,11 +5,14 @@ m-cell grid; for order-n matrices m = n*n.  Two independent evaluations are
 provided and must always agree:
 
 * the nested summation over size vectors (the strictly increasing sequences
-  of component cardinalities), evaluated by depth-first search with shared
-  prefix products, and
+  of component cardinalities), evaluated as a table memoised on (cells left,
+  steps left) in O(m^3) big-integer operations, and
 * an inclusion-exclusion closed form with O(k) big-integer terms, obtained by
   viewing a chain as a cell -> entry-step assignment and subtracting the
   assignments that collapse a step.
+
+instrumented_chain_counts keeps the plain depth-first search over every size
+vector as the oracle for the table at small m.
 
 All arithmetic is exact arbitrary-precision integer arithmetic.
 """
@@ -17,11 +20,10 @@ All arithmetic is exact arbitrary-precision integer arithmetic.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal
 
 __all__ = [
     "CountRow",
@@ -142,60 +144,40 @@ def size_vectors(m: int, k: int) -> Iterator[SizeVector]:
         yield SizeVector(m, sizes)
 
 
-def _sum_over_sizes(m: int, k: int, s0_values: Sequence[int], to_full: bool) -> int:
-    """Nested summation over size vectors with the given first components.
+def _nested_table(m: int, k: int, to_full: bool) -> list[list[int]]:
+    """The nested summation over size vectors, memoised on (cells left, steps left).
 
-    to_full restricts to vectors ending at m (full support).  Prefix products
-    are shared along the recursion, so each size vector costs one multiply.
+    W[r][j] sums, over every way to take j more strict steps from a component
+    that leaves r cells out, the product of the step binomials C(r, d):
+    W[r][j] = sum_{d=1}^{r-j+1} C(r, d) * W[r-d][j-1], with W[r][0] = 1, or
+    [r == 0] when the chain must end at the full support.  This is the
+    depth-first sum with the prefix product factored out, so it takes O(m^2 k)
+    big-integer operations instead of one visit per size vector.
     """
     rows = _pascal(m)
-
-    def descend(remaining: int, steps: int, prod: int) -> int:
-        if steps == 0:
-            if to_full and remaining != 0:
-                return 0
-            return prod
-        row = rows[remaining]
-        total = 0
-        # Each later step must add at least one cell, so leave steps-1 behind.
-        for d in range(1, remaining - steps + 2):
-            total += descend(remaining - d, steps - 1, prod * row[d])
-        return total
-
-    row_m = rows[m]
-    result = 0
-    for s0 in s0_values:
-        result += descend(m - s0, k, row_m[s0])
-    return result
+    table: list[list[int]] = []
+    for r in range(m + 1):
+        row = rows[r]
+        w = [1 if r == 0 or not to_full else 0]
+        for j in range(1, k + 1):
+            # each later step must add at least one cell, so leave j-1 behind
+            w.append(sum(row[d] * table[r - d][j - 1] for d in range(1, r - j + 2)))
+        table.append(w)
+    return table
 
 
-def _sum_chunk(args: tuple[int, int, tuple[int, ...], bool]) -> int:
-    m, k, s0_values, to_full = args
-    return _sum_over_sizes(m, k, s0_values, to_full)
+def _sum_over_first(m: int, k: int, table: list[list[int]]) -> int:
+    """Sum over every first component size s_0 of C(m, s_0) * W[m - s_0][k]."""
+    row_m = _pascal(m)[m]
+    return sum(row_m[s0] * table[m - s0][k] for s0 in range(m - k + 1))
 
 
-def _split(values: Sequence[int], parts: int) -> list[tuple[int, ...]]:
-    chunks = [tuple(values[i::parts]) for i in range(parts)]
-    return [c for c in chunks if c]
-
-
-def _parallel_sum(m: int, k: int, s0_values: Sequence[int], to_full: bool, processes: int) -> int:
-    chunks = _split(s0_values, processes)
-    if len(chunks) <= 1:
-        return _sum_over_sizes(m, k, s0_values, to_full)
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return sum(pool.map(_sum_chunk, [(m, k, c, to_full) for c in chunks]))
-
-
-def chain_count(m: int, k: int, *, processes: int | None = None) -> int:
+def chain_count(m: int, k: int) -> int:
     """Number of strict chains of k+1 supports over m cells (nested summation)."""
     _check_cells(m)
     if k < 0 or k > m:
         return 0
-    s0_values = range(0, m - k + 1)
-    if processes and processes > 1:
-        return _parallel_sum(m, k, tuple(s0_values), False, processes)
-    return _sum_over_sizes(m, k, s0_values, False)
+    return _sum_over_first(m, k, _nested_table(m, k, False))
 
 
 def chain_count_rooted(m: int, k: int, root: Root) -> int:
@@ -205,54 +187,23 @@ def chain_count_rooted(m: int, k: int, root: Root) -> int:
     if k < 0 or k > m:
         return 0
     if root == "O":
-        return _sum_over_sizes(m, k, (0,), False)
-    return _sum_over_sizes(m, k, range(0, m - k + 1), True)
+        return _nested_table(m, k, False)[m][k]
+    return _sum_over_first(m, k, _nested_table(m, k, True))
 
 
-def chain_counts_by_k(m: int, *, processes: int | None = None) -> list[int]:
-    """All per-k chain counts over m cells in one summation pass."""
+def chain_counts_by_k(m: int) -> list[int]:
+    """All per-k chain counts over m cells from one nested-sum table."""
     _check_cells(m)
-    if processes and processes > 1:
-        chunks = _split(range(m + 1), processes)
-        if len(chunks) > 1:
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                results = pool.map(_by_k_chunk, [(m, c) for c in chunks])
-                totals = [0] * (m + 1)
-                for partial in results:
-                    for i, v in enumerate(partial):
-                        totals[i] += v
-                return totals
-    return _by_k_chunk((m, tuple(range(m + 1))))
-
-
-def _by_k_chunk(args: tuple[int, tuple[int, ...]]) -> list[int]:
-    m, s0_values = args
-    totals = [0] * (m + 1)
-    rows = _pascal(m)
-
-    def descend(remaining: int, depth: int, prod: int) -> None:
-        row = rows[remaining]
-        nxt = depth + 1
-        for d in range(1, remaining + 1):
-            p = prod * row[d]
-            totals[depth] += p
-            if d < remaining:
-                descend(remaining - d, nxt, p)
-
-    row_m = rows[m]
-    for s0 in s0_values:
-        totals[0] += row_m[s0]
-        if s0 < m:
-            descend(m - s0, 1, row_m[s0])
-    return totals
+    table = _nested_table(m, m, False)
+    return [_sum_over_first(m, k, table) for k in range(m + 1)]
 
 
 def instrumented_chain_counts(m: int) -> tuple[list[int], int]:
-    """Per-k counts plus the number of size vectors the summation visited.
+    """Per-k counts by depth-first search over every size vector, plus the visit count.
 
-    One vector is visited per nonempty subset of {0, ..., m}, so the second
-    component always equals 2^(m+1) - 1; keeping the counter in the actual
-    evaluation makes that an observable fact rather than an assumption.
+    This is the oracle for the nested-sum table: it visits one vector per
+    nonempty subset of {0, ..., m}, so the second component always equals
+    2^(m+1) - 1, and it is cheap only for small m.
     """
     _check_cells(m)
     totals = [0] * (m + 1)
@@ -278,19 +229,24 @@ def instrumented_chain_counts(m: int) -> tuple[list[int], int]:
     return totals, visited
 
 
-def chain_count_ie(m: int, k: int) -> int:
+def chain_count_ie(m: int, k: int, root: Root | None = None) -> int:
     """Inclusion-exclusion evaluation of chain_count(m, k) in O(k) terms.
 
     Weak chains of length k correspond to maps from the m cells into k+2
     slots (the entry step, or "never"); alternating over which of the k
-    steps are collapsed leaves exactly the strict chains.
+    steps are collapsed leaves exactly the strict chains.  A rooted chain
+    fixes its empty first term (or, by complementation, its full last term),
+    which removes one slot and gives chain_count_rooted(m, k, root).
     """
     _check_cells(m)
+    if root is not None:
+        _check_root(root)
     if k < 0 or k > m:
         return 0
+    slots = k + 2 if root is None else k + 1
     total = 0
     for i in range(k + 1):
-        term = binomial(k, i) * (k + 2 - i) ** m
+        term = binomial(k, i) * (slots - i) ** m
         total += -term if i % 2 else term
     return total
 
@@ -303,7 +259,7 @@ def _pick_method(method: str, m: int) -> str:
     raise ValueError(f'method must be "auto", "naive", or "ie", got {method!r}')
 
 
-def total_count(n: int, *, method: str = "auto", processes: int | None = None) -> int:
+def total_count(n: int, *, method: str = "auto") -> int:
     """Number of equivalence classes of order-n fuzzy matrices: all chains over n*n cells.
 
     Both methods are exact and always agree; "auto" evaluates the nested
@@ -312,7 +268,7 @@ def total_count(n: int, *, method: str = "auto", processes: int | None = None) -
     _check_order(n)
     m = n * n
     if _pick_method(method, m) == "naive":
-        return sum(chain_counts_by_k(m, processes=processes))
+        return sum(chain_counts_by_k(m))
     return sum(chain_count_ie(m, k) for k in range(m + 1))
 
 
@@ -382,8 +338,8 @@ class CountTable:
 def count_table(max_n: int, *, root: Root | None = None, method: str = "auto") -> CountTable:
     """Full table of per-k counts and totals for n = 0..max_n.
 
-    Rooted tables always use the restricted summation (no closed form exists
-    for them); method selects the path for the unrooted rows.
+    Rooted tables always use the restricted nested summation; method selects
+    the path for the unrooted rows.
     """
     _check_order(max_n)
     if root is not None:

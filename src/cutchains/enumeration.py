@@ -112,7 +112,7 @@ def _check_job(m: int, k: int, root: str | None, ceiling: int | None) -> int:
         raise ValueError(f"cell count must be nonnegative, got {m}")
     if root not in (None, "O", "J"):
         raise ValueError(f'root must be "O" or "J", got {root!r}')
-    projected = chain_count_ie(m, k)
+    projected = chain_count_ie(m, k, root)
     limit = _resolve_ceiling(ceiling)
     if projected > limit:
         raise InfeasibleJobError(

@@ -31,8 +31,20 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# Fraction expands a decimal exponent in full, so its size is bounded like the
+# mantissa's digit count, which CPython already caps at this many digits.
+_MAX_EXPONENT = 4300
+
+
 def parse_value(text: str) -> Fraction:
     """Parse a membership value from a decimal ("0.25") or fraction ("1/4") string."""
+    if "e" in text or "E" in text:
+        try:
+            too_large = abs(int(text.lower().partition("e")[2])) > _MAX_EXPONENT
+        except ValueError:
+            too_large = False  # malformed: Fraction rejects it below
+        if too_large:
+            raise ValueError(f"exponent of {text!r} exceeds {_MAX_EXPONENT} in magnitude")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -185,7 +197,7 @@ class FuzzyMatrix:
         if not isinstance(data, dict) or "n" not in data or "entries" not in data:
             raise ValueError('matrix JSON must be {"n": ..., "entries": [[...], ...]}')
         n = data["n"]
-        if not isinstance(n, int):
+        if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f'"n" must be an integer, got {n!r}')
         entries = data["entries"]
         if not isinstance(entries, list) or any(not isinstance(r, list) for r in entries):

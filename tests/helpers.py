@@ -7,6 +7,7 @@ agreement with the library is a genuine cross-check.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 from hypothesis import strategies as st
 
@@ -29,6 +30,26 @@ def brute_force_chains(m, k, root=None):
             continue
         chains.append(tuple(chain))
     return chains
+
+
+def size_vector_sums(m, root=None):
+    """Per-k sums of the size-vector chain products, by depth-first search.
+
+    Visits every size vector 0 <= s_0 < ... < s_k <= m once and adds the
+    product of the step binomials to the total for its k; root "O" keeps only
+    vectors starting at 0 and root "J" only vectors ending at m.
+    """
+    totals = [0] * (m + 1)
+
+    def descend(last, k, prod):
+        if root != "J" or last == m:
+            totals[k] += prod
+        for nxt in range(last + 1, m + 1):
+            descend(nxt, k + 1, prod * comb(m - last, nxt - last))
+
+    for first in [0] if root == "O" else range(m + 1):
+        descend(first, 0, comb(m, first))
+    return totals
 
 
 def bits_to_set(bits):

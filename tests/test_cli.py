@@ -51,6 +51,15 @@ class TestCount:
             main(["count", "--n", "-1"])
         assert exc.value.code == 2
 
+    def test_auto_per_k_beyond_nested_range(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--n", "5", "--k", "2")
+        assert code == 0 and out == "%d\n" % (4**25 - 2 * 3**25 + 2**25)
+
+    def test_no_parallel_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--n", "2", "--parallel", "2"])
+        assert exc.value.code == 2
+
 
 class TestTable:
     def test_csv_matches_golden(self, capsys):
@@ -136,6 +145,22 @@ class TestEnumerate:
         assert code == 3
         assert "110" in err
 
+    def test_list_output_file_matches_stdout(self, capsys, tmp_path):
+        argv = ["enumerate", "--m", "4", "--k", "2", "--list", "--labels"]
+        _, stdout, _ = run_cli(capsys, *argv)
+        target = tmp_path / "chains.txt"
+        code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 0 and out == ""
+        assert target.read_bytes() == stdout.encode("utf-8")
+
+    def test_refused_listing_leaves_no_file(self, capsys, tmp_path):
+        target = tmp_path / "chains.txt"
+        code, _, _ = run_cli(
+            capsys, "enumerate", "--m", "4", "--k", "2", "--list", "--ceiling", "5",
+            "--output", str(target),
+        )
+        assert code == 3 and not target.exists()
+
     def test_parallel_identical_bytes(self, capsys):
         _, serial, _ = run_cli(capsys, "enumerate", "--m", "4", "--k", "2", "--list")
         _, parallel, _ = run_cli(
@@ -172,6 +197,16 @@ class TestMatrixCommands:
         bad = self.write(tmp_path, "bad.txt", "0.5 nonsense\n")
         code, _, err = run_cli(capsys, "signature", "--input", bad)
         assert code == 4 and "malformed" in err
+
+    def test_huge_exponent_is_malformed(self, capsys, tmp_path):
+        bad = self.write(tmp_path, "bad.txt", "1e-30000000\n")
+        code, _, err = run_cli(capsys, "signature", "--input", bad)
+        assert code == 4 and "exponent" in err
+
+    def test_bool_order_is_malformed(self, capsys, tmp_path):
+        bad = self.write(tmp_path, "bad.json", json.dumps({"n": True, "entries": [["0.5"]]}))
+        code, _, err = run_cli(capsys, "signature", "--input", bad)
+        assert code == 4 and '"n" must be an integer' in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "signature", "--input", "/nonexistent/x.txt")

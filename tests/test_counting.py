@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cutchains as cc
-from helpers import brute_force_chains
+from helpers import brute_force_chains, size_vector_sums
 
 
 class TestBinomial:
@@ -102,9 +102,23 @@ class TestChainCount:
             assert cc.chain_count(m, m) == math.factorial(m)
             assert cc.chain_count(m, m + 1) == 0
 
-    def test_parallel_matches_serial(self):
-        assert cc.chain_count(9, 3, processes=2) == cc.chain_count(9, 3)
-        assert cc.chain_counts_by_k(9, processes=3) == cc.chain_counts_by_k(9)
+
+class TestNestedSumTable:
+    def test_unrooted_matches_dfs_oracle(self):
+        for m in range(17):
+            counts, _ = cc.instrumented_chain_counts(m)
+            assert cc.chain_counts_by_k(m) == counts
+            assert [cc.chain_count(m, k) for k in range(m + 1)] == counts
+
+    @pytest.mark.parametrize("root", ["O", "J"])
+    def test_rooted_matches_dfs_oracle(self, root):
+        for m in range(17):
+            want = size_vector_sums(m, root)
+            assert [cc.chain_count_rooted(m, k, root) for k in range(m + 1)] == want
+
+    def test_matches_inclusion_exclusion(self):
+        for m in range(61):
+            assert cc.chain_counts_by_k(m) == [cc.chain_count_ie(m, k) for k in range(m + 1)]
 
 
 class TestRootedCounts:
@@ -167,6 +181,22 @@ class TestInclusionExclusion:
         with pytest.raises(ValueError):
             cc.chain_count_ie(-1, 0)
 
+    def test_rooted_closed_form(self):
+        for m in range(31):
+            for k in range(m + 2):
+                for root in ("O", "J"):
+                    assert cc.chain_count_ie(m, k, root) == cc.chain_count_rooted(m, k, root)
+
+    def test_rooted_totals_are_twice_fubini(self):
+        # OEIS A000629: 1, 2, 6, 26, 150, 1082
+        assert [sum(cc.chain_count_ie(m, k, "O") for k in range(m + 1)) for m in range(6)] == [
+            1, 2, 6, 26, 150, 1082,
+        ]
+
+    def test_bad_root(self):
+        with pytest.raises(ValueError):
+            cc.chain_count_ie(4, 1, "X")
+
 
 class TestTotals:
     def test_sequence_values(self):
@@ -198,9 +228,6 @@ class TestTotals:
             for root in ("O", "J"):
                 expected = sum(len(brute_force_chains(m, k, root)) for k in range(m + 1))
                 assert cc.total_count_rooted(n, root) == expected
-
-    def test_parallel_total(self):
-        assert cc.total_count(3, processes=2) == 28349043
 
 
 class TestFlagAndTermCounts:

@@ -134,6 +134,16 @@ class TestFeasibilityCeiling:
         with pytest.raises(InfeasibleJobError):
             cc.count_chains(20, 1)
 
+    def test_rooted_job_sized_by_rooted_count(self):
+        # the unrooted count 3^12 - 2^12 = 527345 would exceed this ceiling
+        assert cc.count_chains(12, 1, "O", ceiling=10_000) == 2**12 - 1
+        assert cc.count_chains(12, 1, "J", ceiling=10_000) == 2**12 - 1
+        with pytest.raises(InfeasibleJobError, match="4095"):
+            cc.count_chains(12, 1, "O", ceiling=4094)
+
+    def test_large_rooted_job_under_default_ceiling(self):
+        assert cc.count_chains(20, 1, "O") == 2**20 - 1
+
 
 class TestGroupBySizeVector:
     def test_five_case_split(self):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,17 @@ class TestParseFormat:
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_value(bad)
+
+    def test_exponent_at_bound_parses(self):
+        assert parse_value("1e-4300") == Fraction(1, 10**4300)
+        assert parse_value("25E-2") == Fraction(1, 4)
+
+    @pytest.mark.parametrize("text", ["1e-30000000", "1E-4301", "0e99999999"])
+    def test_large_exponent_refused_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            parse_value(text)
+        assert time.perf_counter() - start < 0.05
 
     @pytest.mark.parametrize(
         "value,text",
@@ -141,6 +153,10 @@ class TestFuzzyMatrix:
             FuzzyMatrix.from_json_dict({"entries": [["0"]]})
         with pytest.raises(ValueError):
             FuzzyMatrix.from_json_dict({"n": "1", "entries": [["0"]]})
+
+    def test_json_rejects_bool_order(self):
+        with pytest.raises(ValueError, match='"n" must be an integer'):
+            FuzzyMatrix.from_json_dict({"n": True, "entries": [["0.5"]]})
 
     def test_order_zero(self):
         f = FuzzyMatrix(0, ())
