@@ -48,67 +48,71 @@ def _emit(text: str | Iterable[str], output: str | None) -> None:
     chunks = [text] if isinstance(text, str) else text
     if output is None:
         sys.stdout.writelines(chunks)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
+        return
+    try:
+        handle = open(output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {output}: {exc}") from exc  # a usage error
+    with handle:
+        handle.writelines(chunks)
+
+
+def _read_input(path: str, fmt: str, what: str, parse_json, parse_text):
+    """Read a UTF-8 input file and parse it as JSON or text, by fmt or the .json suffix.
+
+    Every failure to read, decode or parse it is a MalformedInputError.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInputError(f"cannot read {path}: {exc}") from exc
+    use_json = fmt == "json" or (fmt == "auto" and path.endswith(".json"))
+    try:
+        return parse_json(json.loads(text)) if use_json else parse_text(text)
+    except (ValueError, TypeError, RecursionError) as exc:  # deep JSON nesting recurses
+        raise MalformedInputError(f"malformed {what} file {path}: {exc}") from exc
 
 
 def _load_matrix(path: str, fmt: str) -> FuzzyMatrix:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MalformedInputError(f"cannot read {path}: {exc}") from exc
-    use_json = fmt == "json" or (fmt == "auto" and path.endswith(".json"))
-    try:
-        if use_json:
-            return FuzzyMatrix.from_json_dict(json.loads(text))
-        return FuzzyMatrix.parse_text(text)
-    except (ValueError, TypeError) as exc:
-        raise MalformedInputError(f"malformed matrix file {path}: {exc}") from exc
+    return _read_input(path, fmt, "matrix", FuzzyMatrix.from_json_dict, FuzzyMatrix.parse_text)
+
+
+def _corpus_from_json(data) -> list[FuzzyMatrix]:
+    if not isinstance(data, list):
+        raise ValueError("corpus JSON must be an array of matrix objects")
+    return [FuzzyMatrix.from_json_dict(item) for item in data]
+
+
+def _corpus_from_text(text: str) -> list[FuzzyMatrix]:
+    blocks, current = [], []
+    for line in text.splitlines():
+        if line.strip():
+            current.append(line)
+        elif current:
+            blocks.append("\n".join(current))
+            current = []
+    if current:
+        blocks.append("\n".join(current))
+    return [FuzzyMatrix.parse_text(block) for block in blocks]
 
 
 def _load_corpus(path: str, fmt: str) -> list[FuzzyMatrix]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MalformedInputError(f"cannot read {path}: {exc}") from exc
-    use_json = fmt == "json" or (fmt == "auto" and path.endswith(".json"))
-    try:
-        if use_json:
-            data = json.loads(text)
-            if not isinstance(data, list):
-                raise ValueError("corpus JSON must be an array of matrix objects")
-            return [FuzzyMatrix.from_json_dict(item) for item in data]
-        blocks, current = [], []
-        for line in text.splitlines():
-            if line.strip():
-                current.append(line)
-            elif current:
-                blocks.append("\n".join(current))
-                current = []
-        if current:
-            blocks.append("\n".join(current))
-        return [FuzzyMatrix.parse_text(block) for block in blocks]
-    except (ValueError, TypeError) as exc:
-        raise MalformedInputError(f"malformed corpus file {path}: {exc}") from exc
+    return _read_input(path, fmt, "corpus", _corpus_from_json, _corpus_from_text)
 
 
 def _cmd_count(args) -> int:
     m = args.n * args.n
-    if args.root is not None:
-        if args.method == "ie":
-            print("error: the inclusion-exclusion path has no rooted variant", file=sys.stderr)
-            return EXIT_USAGE
-        if args.k is None:
-            value = counting.total_count_rooted(args.n, args.root)
+    if args.k is None:
+        if args.root is None:
+            value = counting.total_count(args.n, method=args.method)
         else:
-            value = counting.chain_count_rooted(m, args.k, args.root)
-    elif args.k is None:
-        value = counting.total_count(args.n, method=args.method)
+            value = counting.total_count_rooted(args.n, args.root, method=args.method)
     elif counting._pick_method(args.method, m) == "ie":
-        value = counting.chain_count_ie(m, args.k)
-    else:
+        value = counting.chain_count_ie(m, args.k, args.root)
+    elif args.root is None:
         value = counting.chain_count(m, args.k)
+    else:
+        value = counting.chain_count_rooted(m, args.k, args.root)
     print(value)
     return EXIT_OK
 
@@ -306,7 +310,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except ValueError as exc:
-        # e.g. a malformed ceiling environment variable
+        # e.g. a malformed ceiling environment variable or an unwritable --output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

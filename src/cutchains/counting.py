@@ -180,15 +180,18 @@ def chain_count(m: int, k: int) -> int:
     return _sum_over_first(m, k, _nested_table(m, k, False))
 
 
+def _rooted_from_table(m: int, k: int, root: Root, table: list[list[int]]) -> int:
+    """Rooted count of length k from a table built with to_full == (root == "J")."""
+    return table[m][k] if root == "O" else _sum_over_first(m, k, table)
+
+
 def chain_count_rooted(m: int, k: int, root: Root) -> int:
     """Chains whose initial term is empty (root "O") or terminal term full ("J")."""
     _check_cells(m)
     _check_root(root)
     if k < 0 or k > m:
         return 0
-    if root == "O":
-        return _nested_table(m, k, False)[m][k]
-    return _sum_over_first(m, k, _nested_table(m, k, True))
+    return _rooted_from_table(m, k, root, _nested_table(m, k, root == "J"))
 
 
 def chain_counts_by_k(m: int) -> list[int]:
@@ -259,6 +262,19 @@ def _pick_method(method: str, m: int) -> str:
     raise ValueError(f'method must be "auto", "naive", or "ie", got {method!r}')
 
 
+def _counts_by_k(m: int, root: Root | None, method: str) -> list[int]:
+    """Per-k counts over m cells, unrooted (root None) or rooted, by the picked method.
+
+    The nested summation reads every k from one table.
+    """
+    if _pick_method(method, m) == "ie":
+        return [chain_count_ie(m, k, root) for k in range(m + 1)]
+    if root is None:
+        return chain_counts_by_k(m)
+    table = _nested_table(m, m, root == "J")
+    return [_rooted_from_table(m, k, root, table) for k in range(m + 1)]
+
+
 def total_count(n: int, *, method: str = "auto") -> int:
     """Number of equivalence classes of order-n fuzzy matrices: all chains over n*n cells.
 
@@ -266,18 +282,17 @@ def total_count(n: int, *, method: str = "auto") -> int:
     summation up to 16 cells and the closed form beyond.
     """
     _check_order(n)
-    m = n * n
-    if _pick_method(method, m) == "naive":
-        return sum(chain_counts_by_k(m))
-    return sum(chain_count_ie(m, k) for k in range(m + 1))
+    return sum(_counts_by_k(n * n, None, method))
 
 
-def total_count_rooted(n: int, root: Root) -> int:
-    """Classes whose chains contain the empty (root "O") or full ("J") support."""
+def total_count_rooted(n: int, root: Root, *, method: str = "auto") -> int:
+    """Classes whose chains contain the empty (root "O") or full ("J") support.
+
+    Methods as for total_count.
+    """
     _check_order(n)
     _check_root(root)
-    m = n * n
-    return sum(chain_count_rooted(m, k, root) for k in range(m + 1))
+    return sum(_counts_by_k(n * n, root, method))
 
 
 def flag_count(n: int) -> int:
@@ -338,21 +353,14 @@ class CountTable:
 def count_table(max_n: int, *, root: Root | None = None, method: str = "auto") -> CountTable:
     """Full table of per-k counts and totals for n = 0..max_n.
 
-    Rooted tables always use the restricted nested summation; method selects
-    the path for the unrooted rows.
+    method selects the path for each row, rooted or not, as for total_count.
     """
     _check_order(max_n)
     if root is not None:
         _check_root(root)
     rows = []
     for n in range(max_n + 1):
-        m = n * n
-        if root is not None:
-            counts = [chain_count_rooted(m, k, root) for k in range(m + 1)]
-        elif _pick_method(method, m) == "naive":
-            counts = chain_counts_by_k(m)
-        else:
-            counts = [chain_count_ie(m, k) for k in range(m + 1)]
+        counts = _counts_by_k(n * n, root, method)
         rows.append(CountRow(n, tuple(counts), sum(counts)))
     return CountTable(tuple(rows), root)
 

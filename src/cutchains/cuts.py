@@ -41,16 +41,20 @@ def _as_level(alpha) -> Fraction:
     return Fraction(alpha)
 
 
+def _cut(f: FuzzyMatrix, holds) -> CrispMatrix:
+    """Crisp matrix of the cells whose entry satisfies holds, in one row-major scan."""
+    mask = 0
+    for v in f.values():
+        mask = mask << 1 | holds(v)
+    return CrispMatrix(f.order, mask)
+
+
 def alpha_cut(f: FuzzyMatrix, alpha) -> CrispMatrix:
     """Crisp matrix of cells with entry >= alpha, for alpha in (0, 1]."""
     level = _as_level(alpha)
     if not (ZERO < level <= ONE):
         raise ValueError(f"weak cut level must lie in (0, 1], got {level}")
-    n = f.order
-    cells = frozenset(
-        (i, j) for i in range(1, n + 1) for j in range(1, n + 1) if f.entry(i, j) >= level
-    )
-    return CrispMatrix(n, cells)
+    return _cut(f, lambda v: v >= level)
 
 
 def strong_alpha_cut(f: FuzzyMatrix, alpha) -> CrispMatrix:
@@ -58,21 +62,24 @@ def strong_alpha_cut(f: FuzzyMatrix, alpha) -> CrispMatrix:
     level = _as_level(alpha)
     if not (ZERO <= level < ONE):
         raise ValueError(f"strong cut level must lie in [0, 1), got {level}")
-    n = f.order
-    cells = frozenset(
-        (i, j) for i in range(1, n + 1) for j in range(1, n + 1) if f.entry(i, j) > level
-    )
-    return CrispMatrix(n, cells)
-
-
-def _distinct_positive_values(f: FuzzyMatrix) -> list[Fraction]:
-    """Distinct positive entry values, descending."""
-    return sorted({v for v in f.values() if v > ZERO}, reverse=True)
+    return _cut(f, lambda v: v > level)
 
 
 def k_level(f: FuzzyMatrix) -> int:
     """Number of distinct entry values strictly inside (0, 1)."""
     return len({v for v in f.values() if ZERO < v < ONE})
+
+
+def _check_cuts(order: int, cuts: tuple[CrispMatrix, ...]) -> None:
+    """At least one cut, every cut of the given order, strictly increasing under inclusion."""
+    if not cuts:
+        raise ValueError("a chain of cuts has at least one component")
+    for cut in cuts:
+        if cut.order != order:
+            raise ValueError(f"every cut must have order {order}")
+    for prev, nxt in zip(cuts, cuts[1:]):
+        if not prev.ispropersubset(nxt):
+            raise ValueError("cuts must be strictly increasing under inclusion")
 
 
 @dataclass(frozen=True)
@@ -93,24 +100,14 @@ class CutChain:
         object.__setattr__(self, "cuts", tuple(self.cuts))
         if len(self.levels) != len(self.cuts):
             raise ValueError("levels and cuts must have equal length")
-        if not self.cuts:
-            raise ValueError("a cut chain has at least one component")
-        if len(self.cuts) > self.order * self.order + 1:
-            raise ValueError(
-                f"chain of {len(self.cuts)} components exceeds order {self.order}"
-            )
         for a in self.levels:
             if not (ZERO < a <= ONE):
                 raise ValueError(f"level {a} outside (0, 1]")
         for prev, nxt in zip(self.levels, self.levels[1:]):
             if not prev > nxt:
                 raise ValueError("levels must be strictly decreasing")
-        for cut in self.cuts:
-            if cut.order != self.order:
-                raise ValueError("every cut must match the chain order")
-        for prev, nxt in zip(self.cuts, self.cuts[1:]):
-            if not prev.ispropersubset(nxt):
-                raise ValueError("cuts must be strictly increasing under inclusion")
+        # strict inclusion among n*n-cell supports also caps the length at n*n + 1
+        _check_cuts(self.order, self.cuts)
 
     @property
     def k(self) -> int:
@@ -129,14 +126,7 @@ class ChainSignature:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cuts", tuple(self.cuts))
-        if not self.cuts:
-            raise ValueError("a signature has at least one cut")
-        for cut in self.cuts:
-            if cut.order != self.order:
-                raise ValueError("every cut must match the signature order")
-        for prev, nxt in zip(self.cuts, self.cuts[1:]):
-            if not prev.ispropersubset(nxt):
-                raise ValueError("cuts must be strictly increasing under inclusion")
+        _check_cuts(self.order, self.cuts)
 
     @property
     def k(self) -> int:
@@ -168,15 +158,25 @@ class Rootedness(NamedTuple):
 def cut_chain(f: FuzzyMatrix) -> CutChain:
     """Decompose f into its chain of cuts, keyed by the realized levels.
 
-    The cuts at the distinct positive entry values, ascending under inclusion.
-    When no entry equals 1 the empty cut is realized on (max value, 1] and is
-    recorded at the nominal level 1; the all-zero matrix decomposes to that
-    single empty cut.
+    The cuts at the distinct positive entry values, ascending under inclusion,
+    from one scan: the cut at a value is the union of the cells of every value
+    >= it.  When no entry equals 1 the empty cut is realized on (max value, 1]
+    and is recorded at the nominal level 1; the all-zero matrix decomposes to
+    that single empty cut.
     """
-    values = _distinct_positive_values(f)
-    levels = list(values)
-    cuts = [alpha_cut(f, v) for v in values]
-    if not values or values[0] != ONE:
+    cells: dict[Fraction, int] = {}
+    bit = 1 << f.order * f.order
+    for v in f.values():
+        bit >>= 1
+        if v:  # entries are nonnegative, so nonzero means positive
+            cells[v] = cells.get(v, 0) | bit
+    levels = sorted(cells, reverse=True)
+    cuts = []
+    mask = 0
+    for v in levels:
+        mask |= cells[v]
+        cuts.append(CrispMatrix(f.order, mask))
+    if not levels or levels[0] != ONE:
         levels.insert(0, ONE)
         cuts.insert(0, CrispMatrix.zeros(f.order))
     return CutChain(f.order, tuple(levels), tuple(cuts))
@@ -197,28 +197,36 @@ def rootedness(f: FuzzyMatrix) -> Rootedness:
 def reconstruct(chain: CutChain) -> FuzzyMatrix:
     """Fuzzy matrix whose entry at each cell is the largest level whose cut holds it."""
     n = chain.order
-    grid = [[ZERO] * n for _ in range(n)]
-    # Lowest level first, so later (higher) levels overwrite.
-    for level, cut in zip(reversed(chain.levels), reversed(chain.cuts)):
-        for i, j in cut.support:
-            grid[i - 1][j - 1] = level
-    return FuzzyMatrix(n, tuple(tuple(row) for row in grid))
+    m = n * n
+    values = [ZERO] * m
+    placed = 0
+    # Highest level first, so each cell takes the first level whose cut holds it.
+    for level, cut in zip(chain.levels, chain.cuts):
+        fresh = cut.mask & ~placed
+        placed |= fresh
+        while fresh:
+            low = fresh & -fresh
+            values[m - low.bit_length()] = level
+            fresh ^= low
+    return FuzzyMatrix(n, tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n)))
+
+
+def _rank_pattern(f: FuzzyMatrix) -> list[tuple[int, bool, bool]]:
+    """Each cell's (dense rank among f's distinct values, == 0, == 1), row-major."""
+    values = list(f.values())
+    key = {v: (rank, v == ZERO, v == ONE) for rank, v in enumerate(sorted(set(values)))}
+    return [key[v] for v in values]
 
 
 def equivalent_direct(a: FuzzyMatrix, b: FuzzyMatrix) -> bool:
-    """Entrywise decision: same strict-order pattern and the same 0- and 1-cells."""
+    """Entrywise decision: same strict-order pattern and the same 0- and 1-cells.
+
+    Two cells compare alike in both matrices exactly when their dense ranks
+    agree, so comparing each cell's rank and its 0/1 flags decides the
+    pairwise definition in O(m log m).
+    """
     _same_order(a, b)
-    av = list(a.values())
-    bv = list(b.values())
-    for x, y in zip(av, bv):
-        if (x == ONE) != (y == ONE) or (x == ZERO) != (y == ZERO):
-            return False
-    for p in range(len(av)):
-        xp, yp = av[p], bv[p]
-        for q in range(p + 1, len(av)):
-            if (xp > av[q]) != (yp > bv[q]) or (xp < av[q]) != (yp < bv[q]):
-                return False
-    return True
+    return _rank_pattern(a) == _rank_pattern(b)
 
 
 def equivalent_cuts(a: FuzzyMatrix, b: FuzzyMatrix) -> bool:
@@ -270,9 +278,9 @@ def classify_corpus(matrices: Iterable[FuzzyMatrix]) -> Classification:
     """Partition same-order matrices into equivalence classes.
 
     Classes are keyed by signature and reported in a canonical order (by k,
-    then cut bitstrings).  Every member is re-checked against its class
-    representative with the direct entrywise procedure, so the two decision
-    routes cross-validate on every call.
+    then cut masks, which order as the cut bitstrings do).  Every member is
+    re-checked against its class representative with the direct entrywise
+    procedure, so the two decision routes cross-validate on every call.
     """
     corpus = list(matrices)
     if not corpus:
@@ -287,7 +295,7 @@ def classify_corpus(matrices: Iterable[FuzzyMatrix]) -> Classification:
         by_signature.setdefault(signature(f), []).append(idx)
 
     classes = []
-    for sig in sorted(by_signature, key=lambda s: (s.k, tuple(c.bits for c in s.cuts))):
+    for sig in sorted(by_signature, key=lambda s: (s.k, tuple(c.mask for c in s.cuts))):
         rep = canonical_representative(sig)
         members = tuple(by_signature[sig])
         for idx in members:

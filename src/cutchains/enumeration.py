@@ -1,7 +1,7 @@
 """Exhaustive generation of supports and strict chains: the ground-truth path.
 
-Supports over m cells are bitmasks; bit (m-1-p) holds cell p+1 so that numeric
-order on masks coincides with lexicographic order on the row-major bitstrings.
+Supports over m cells are bitmasks in CrispMatrix's bit order (bit m-1-p holds
+cell p+1), so numeric order on masks is lexicographic order on the bitstrings.
 Chains are emitted by recursing on the next strictly larger support, pruning
 branches that cannot reach the requested length.  Jobs are pre-sized with the
 closed-form count and refused above a configurable ceiling.
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .counting import chain_count_ie
+from .matrices import mask_to_bits
 
 __all__ = [
     "CEILING_ENV_VAR",
@@ -24,14 +25,12 @@ __all__ = [
     "DEFAULT_SUPPORT_CAP",
     "HasseDiagram",
     "InfeasibleJobError",
-    "bits_to_mask",
     "chain_lines",
     "count_chains",
     "enumerate_chains",
     "enumerate_supports",
     "group_by_size_vector",
     "hasse_export",
-    "mask_to_bits",
     "support_label",
 ]
 
@@ -54,15 +53,6 @@ def _resolve_ceiling(explicit: int | None) -> int:
         except ValueError as exc:
             raise ValueError(f"{CEILING_ENV_VAR} must be an integer, got {env!r}") from exc
     return DEFAULT_CHAIN_CEILING
-
-
-def mask_to_bits(mask: int, m: int) -> str:
-    """Row-major bitstring of a support mask."""
-    return format(mask, f"0{m}b") if m else ""
-
-
-def bits_to_mask(bits: str) -> int:
-    return int(bits, 2) if bits else 0
 
 
 def support_label(mask: int, m: int) -> str:

@@ -1,9 +1,9 @@
 """Crisp and fuzzy square matrices with exact rational entries.
 
-A crisp matrix is identified with its support, the set of cells holding a 1.
-A fuzzy matrix holds membership degrees in [0, 1]; entries are Fractions so
-that comparisons against 0 and 1, which the equivalence relation hinges on,
-are exact.  Floats are rejected outright.
+A crisp matrix is identified with its support, the set of cells holding a 1,
+which it stores as an int bitmask.  A fuzzy matrix holds membership degrees in
+[0, 1]; entries are Fractions so that comparisons against 0 and 1, which the
+equivalence relation hinges on, are exact.  Floats are rejected outright.
 """
 
 from __future__ import annotations
@@ -16,16 +16,16 @@ from typing import Iterator
 __all__ = [
     "CrispMatrix",
     "FuzzyMatrix",
+    "bits_to_mask",
     "contains",
     "fuzzy_complement",
     "fuzzy_contains",
     "fuzzy_intersection",
     "fuzzy_union",
     "format_value",
+    "mask_to_bits",
     "parse_value",
 ]
-
-Cell = tuple[int, int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -87,31 +87,40 @@ def _coerce_entry(value) -> Fraction:
     raise TypeError(f"cannot use {type(value).__name__} as a membership value")
 
 
+def mask_to_bits(mask: int, m: int) -> str:
+    """Row-major bitstring of a support mask over m cells."""
+    return format(mask, f"0{m}b") if m else ""
+
+
+def bits_to_mask(bits: str) -> int:
+    """Support mask of a row-major bitstring."""
+    return int(bits, 2) if bits else 0
+
+
 @dataclass(frozen=True)
 class CrispMatrix:
-    """An order-n 0/1 matrix, stored as the set of 1-cells (1-based (row, col))."""
+    """An order-n 0/1 matrix, stored as the support mask over its n*n cells.
+
+    Bit n*n-1-p holds cell p+1 in row-major order, so numeric order on masks
+    is lexicographic order on the row-major bitstrings.
+    """
 
     order: int
-    support: frozenset[Cell]
+    mask: int
 
     def __post_init__(self) -> None:
         if self.order < 0:
             raise ValueError(f"order must be nonnegative, got {self.order}")
-        object.__setattr__(self, "support", frozenset(self.support))
-        for i, j in self.support:
-            if not (1 <= i <= self.order and 1 <= j <= self.order):
-                raise ValueError(
-                    f"cell ({i}, {j}) outside the {self.order}x{self.order} range"
-                )
+        if self.mask < 0 or self.mask.bit_length() > self.order * self.order:
+            raise ValueError(f"mask {self.mask} outside the {self.order}x{self.order} range")
 
     @classmethod
     def zeros(cls, order: int) -> "CrispMatrix":
-        return cls(order, frozenset())
+        return cls(order, 0)
 
     @classmethod
     def ones(cls, order: int) -> "CrispMatrix":
-        cells = frozenset((i, j) for i in range(1, order + 1) for j in range(1, order + 1))
-        return cls(order, cells)
+        return cls(order, (1 << order * order) - 1)
 
     @classmethod
     def from_bits(cls, bits: str) -> "CrispMatrix":
@@ -119,34 +128,24 @@ class CrispMatrix:
         order = isqrt(len(bits))
         if order * order != len(bits):
             raise ValueError(f"bitstring length {len(bits)} is not a square")
-        cells = set()
-        for pos, ch in enumerate(bits):
-            if ch == "1":
-                cells.add((pos // order + 1, pos % order + 1))
-            elif ch != "0":
-                raise ValueError(f"bitstring may contain only 0 and 1, got {ch!r}")
-        return cls(order, frozenset(cells))
+        if set(bits) - {"0", "1"}:
+            raise ValueError(f"bitstring may contain only 0 and 1, got {bits!r}")
+        return cls(order, bits_to_mask(bits))
 
     @property
     def bits(self) -> str:
         """Row-major bitstring serialization."""
-        n = self.order
-        return "".join(
-            "1" if (i, j) in self.support else "0"
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        )
+        return mask_to_bits(self.mask, self.order * self.order)
 
     def issubset(self, other: "CrispMatrix") -> bool:
         _same_order(self, other)
-        return self.support <= other.support
+        return self.mask & ~other.mask == 0
 
     def ispropersubset(self, other: "CrispMatrix") -> bool:
-        _same_order(self, other)
-        return self.support < other.support
+        return self.issubset(other) and self.mask != other.mask
 
     def __len__(self) -> int:
-        return len(self.support)
+        return self.mask.bit_count()
 
     def __repr__(self) -> str:
         return f"CrispMatrix({self.order}, {self.bits!r})"

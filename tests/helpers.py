@@ -1,8 +1,9 @@
 """Shared test fixtures: independent brute-force oracles and corpus builders.
 
 The oracles here deliberately avoid the package's bitmask/DFS machinery:
-supports are frozensets and chains are found by filtering combinations, so
-agreement with the library is a genuine cross-check.
+supports are frozensets, chains are found by filtering combinations and
+equivalence is decided pair of cells by pair of cells, so agreement with the
+library is a genuine cross-check.
 """
 
 from fractions import Fraction
@@ -50,6 +51,21 @@ def size_vector_sums(m, root=None):
     for first in [0] if root == "O" else range(m + 1):
         descend(first, 0, comb(m, first))
     return totals
+
+
+def equivalent_pairwise(a, b):
+    """The equivalence by its definition: the same 0- and 1-cells, and every pair
+    of cells compares the same way in both matrices (O(m^2) comparisons)."""
+    av = list(a.values())
+    bv = list(b.values())
+    for x, y in zip(av, bv):
+        if (x == 1) != (y == 1) or (x == 0) != (y == 0):
+            return False
+    for p in range(len(av)):
+        for q in range(p + 1, len(av)):
+            if (av[p] > av[q]) != (bv[p] > bv[q]) or (av[p] < av[q]) != (bv[p] < bv[q]):
+                return False
+    return True
 
 
 def bits_to_set(bits):

@@ -42,9 +42,14 @@ class TestCount:
         code, out, _ = run_cli(capsys, "count", "--n", "2", "--k", "9")
         assert code == 0 and out == "0\n"
 
-    def test_rooted_ie_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "count", "--n", "2", "--root", "O", "--method", "ie")
-        assert code == 2 and "rooted" in err
+    def test_rooted_methods_agree(self, capsys):
+        for root in ("O", "J"):
+            for k, want in (([], "150\n"), (["--k", "2"], "50\n")):
+                for method in ("naive", "ie"):
+                    code, out, _ = run_cli(
+                        capsys, "count", "--n", "2", "--root", root, *k, "--method", method
+                    )
+                    assert code == 0 and out == want
 
     def test_negative_n_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -78,6 +83,11 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", "--max-n", "3", "--output", str(target))
         assert code == 0 and out == ""
         assert target.read_text() == (DATA / "table_max3.csv").read_text()
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "table", "--max-n", "1", "--output", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
 
     def test_rooted_table(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--max-n", "2", "--root", "J")
@@ -207,6 +217,15 @@ class TestMatrixCommands:
         bad = self.write(tmp_path, "bad.json", json.dumps({"n": True, "entries": [["0.5"]]}))
         code, _, err = run_cli(capsys, "signature", "--input", bad)
         assert code == 4 and '"n" must be an integer' in err
+
+    def test_unreadable_input_is_malformed(self, capsys, tmp_path):
+        undecodable = tmp_path / "latin1.txt"
+        undecodable.write_bytes(b"0.5 \xe9\n")
+        deep = self.write(tmp_path, "deep.json", "[" * 200_000)
+        for argv in (["signature", "--input", str(undecodable)], ["classify", "--input", deep]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 4 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "signature", "--input", "/nonexistent/x.txt")

@@ -120,6 +120,12 @@ class TestNestedSumTable:
         for m in range(61):
             assert cc.chain_counts_by_k(m) == [cc.chain_count_ie(m, k) for k in range(m + 1)]
 
+    @pytest.mark.parametrize("root", ["O", "J"])
+    def test_rooted_rows_match_inclusion_exclusion(self, root):
+        for row in cc.count_table(6, root=root, method="naive").rows:
+            m = row.n * row.n
+            assert row.counts == tuple(cc.chain_count_ie(m, k, root) for k in range(m + 1))
+
 
 class TestRootedCounts:
     @pytest.mark.parametrize(
@@ -209,6 +215,9 @@ class TestTotals:
     def test_methods_agree(self):
         for n in range(5):
             assert cc.total_count(n, method="naive") == cc.total_count(n, method="ie")
+            for root in ("O", "J"):
+                naive = cc.total_count_rooted(n, root, method="naive")
+                assert naive == cc.total_count_rooted(n, root, method="ie")
 
     def test_bad_method(self):
         with pytest.raises(ValueError):

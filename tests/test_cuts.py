@@ -6,7 +6,14 @@ from hypothesis import given
 
 import cutchains as cc
 from cutchains import CrispMatrix, FuzzyMatrix
-from helpers import fuzzy_matrices, grid_matrices, grid_values, matrix_pairs, order_preserving_remap
+from helpers import (
+    equivalent_pairwise,
+    fuzzy_matrices,
+    grid_matrices,
+    grid_values,
+    matrix_pairs,
+    order_preserving_remap,
+)
 
 F = Fraction
 
@@ -18,8 +25,8 @@ def M(*rows):
 class TestAlphaCuts:
     def test_weak_examples(self):
         f = M(["0.3", "0.7"], ["0.7", "1"])
-        assert cc.alpha_cut(f, F(1, 2)).support == {(1, 2), (2, 1), (2, 2)}
-        assert cc.alpha_cut(f, 1).support == {(2, 2)}
+        assert cc.alpha_cut(f, F(1, 2)).bits == "0111"
+        assert cc.alpha_cut(f, 1) == CrispMatrix(2, 0b0001)
         # just above the max entry of a matrix without ones: empty cut
         g = M(["0.3", "0.7"], ["0.7", "0.1"])
         assert cc.alpha_cut(g, F(8, 10)) == CrispMatrix.zeros(2)
@@ -36,7 +43,8 @@ class TestAlphaCuts:
         assert cc.strong_alpha_cut(f, F(1, 2)) == CrispMatrix.zeros(1)
         assert cc.strong_alpha_cut(f, 0) == CrispMatrix.ones(1)
         g = M(["0", "1"], ["1", "1"])
-        assert cc.strong_alpha_cut(g, 0).support == {(1, 2), (2, 1), (2, 2)}
+        assert cc.strong_alpha_cut(g, 0).bits == "0111"
+        assert cc.strong_alpha_cut(g, F(1, 2)) == CrispMatrix(2, 0b0111)
 
     def test_strong_bounds(self):
         f = M(["0.5"])
@@ -175,7 +183,7 @@ class TestEquivalence:
         mats = list(grid_matrices(2, grid_values(0)))
         for a in mats:
             for b in mats:
-                assert cc.equivalent_direct(a, b) == (a == b)
+                assert cc.equivalent_direct(a, b) == equivalent_pairwise(a, b) == (a == b)
 
     @pytest.mark.parametrize("n,t", [(1, 0), (1, 1), (1, 2), (2, 1)])
     def test_procedures_agree_exhaustively(self, n, t):
@@ -183,7 +191,8 @@ class TestEquivalence:
         sigs = [cc.signature(f) for f in mats]
         for i, a in enumerate(mats):
             for j in range(i, len(mats)):
-                assert cc.equivalent_direct(a, mats[j]) == (sigs[i] == sigs[j])
+                direct = cc.equivalent_direct(a, mats[j])
+                assert direct == equivalent_pairwise(a, mats[j]) == (sigs[i] == sigs[j])
 
     def test_procedures_agree_on_grid_sample(self):
         # order 2 over a 4-value grid: sampled pairs from all 256 matrices
@@ -196,7 +205,8 @@ class TestEquivalence:
     @given(matrix_pairs())
     def test_procedures_agree_random(self, pair):
         a, b = pair
-        assert cc.equivalent_direct(a, b) == cc.equivalent_cuts(a, b)
+        direct = cc.equivalent_direct(a, b)
+        assert direct == equivalent_pairwise(a, b) == cc.equivalent_cuts(a, b)
 
     @given(fuzzy_matrices())
     def test_reflexive_and_remap_invariant(self, f):
@@ -275,6 +285,17 @@ class TestClassification:
 
 
 class TestCrossModuleAgainstEnumeration:
+    def test_enumerated_chains_are_signatures_in_the_same_bit_order(self):
+        # every chain over the 4 cells of an order-2 matrix, wrapped as a signature
+        chains = 0
+        for k in range(5):
+            for record in cc.enumerate_chains(4, k):
+                sig = cc.ChainSignature(2, [CrispMatrix(2, c) for c in record.components])
+                assert tuple(sig.to_json_dict()["cuts"]) == record.bitstrings()
+                assert cc.signature(cc.canonical_representative(sig)) == sig
+                chains += 1
+        assert chains == 299
+
     def test_pairwise_classes_match_chain_counts_per_level(self):
         # classes among the 81 grid matrices split by k exactly as the per-k counts
         mats = list(grid_matrices(2, grid_values(1)))

@@ -71,10 +71,12 @@ class TestParseFormat:
 
 class TestCrispMatrix:
     def test_bits_example(self):
-        # diagonal support of order 2 serializes row-major
-        a = CrispMatrix(2, frozenset({(1, 1), (2, 2)}))
+        # diagonal support of order 2: cell 1 is the top bit, cell 4 the bottom one
+        a = CrispMatrix(2, 0b1001)
         assert a.bits == "1001"
         assert CrispMatrix.from_bits("1001") == a
+        assert CrispMatrix(2, 0b0100).bits == "0100"  # cell (1, 2)
+        assert len(a) == 2
 
     def test_from_bits_round_trip(self):
         for i in range(16):
@@ -82,10 +84,12 @@ class TestCrispMatrix:
             assert CrispMatrix.from_bits(bits).bits == bits
 
     def test_out_of_range_cell_rejected(self):
+        # a fifth cell does not exist in an order-2 matrix
         with pytest.raises(ValueError):
-            CrispMatrix(2, frozenset({(3, 1)}))
+            CrispMatrix(2, 1 << 4)
         with pytest.raises(ValueError):
-            CrispMatrix(2, frozenset({(0, 1)}))
+            CrispMatrix(2, -1)
+        assert CrispMatrix(2, (1 << 4) - 1) == CrispMatrix.ones(2)
 
     def test_from_bits_rejects_nonsquare_and_junk(self):
         with pytest.raises(ValueError):
@@ -100,11 +104,13 @@ class TestCrispMatrix:
     def test_containment_examples(self):
         o, j = CrispMatrix.zeros(2), CrispMatrix.ones(2)
         assert contains(o, j, strict=True)
-        a = CrispMatrix(2, frozenset({(1, 1)}))
+        a = CrispMatrix.from_bits("1000")
         assert not contains(a, a, strict=True)
         assert contains(a, a)
-        b = CrispMatrix(2, frozenset({(1, 1), (1, 2)}))
+        b = CrispMatrix.from_bits("1100")
         assert contains(a, b, strict=True)
+        assert not contains(b, a)
+        assert not contains(a, CrispMatrix.from_bits("0111"))
 
     def test_containment_order_mismatch(self):
         with pytest.raises(ValueError):
