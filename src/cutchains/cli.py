@@ -36,13 +36,6 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
 def _emit(text: str | Iterable[str], output: str | None) -> None:
     """Write text, or an iterable of text chunks as they come, to stdout or a file."""
     chunks = [text] if isinstance(text, str) else text
@@ -137,33 +130,23 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.group_by_sizes and args.root is not None:
-        print("error: --group-by-sizes has no rooted variant", file=sys.stderr)
-        return EXIT_USAGE
     if args.list:
         lines = enumeration.chain_lines(
-            args.m,
-            args.k,
-            args.root,
-            labeled=args.labels,
-            ceiling=args.ceiling,
-            processes=args.parallel,
+            args.m, args.k, args.root, labeled=args.labels, ceiling=args.ceiling
         )
         # chain_lines has accepted the job, so a refused one leaves no file
         _emit((line + "\n" for line in lines), args.output)
         return EXIT_OK
     if args.group_by_sizes:
         groups = enumeration.group_by_size_vector(
-            args.m, args.k, ceiling=args.ceiling, processes=args.parallel
+            args.m, args.k, args.root, ceiling=args.ceiling
         )
         text = "".join(
             f"{','.join(map(str, sizes))}: {count}\n" for sizes, count in groups.items()
         )
         _emit(text, args.output)
         return EXIT_OK
-    count = enumeration.count_chains(
-        args.m, args.k, args.root, ceiling=args.ceiling, processes=args.parallel
-    )
+    count = enumeration.count_chains(args.m, args.k, args.root, ceiling=args.ceiling)
     _emit(f"{count}\n", args.output)
     return EXIT_OK
 
@@ -262,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", action="store_true", help="label components A_s^{cells}")
     p.add_argument("--group-by-sizes", action="store_true")
     p.add_argument("--ceiling", type=_nonneg, default=None, help="max projected chains")
-    p.add_argument("--parallel", type=_positive, default=None, metavar="D")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_enumerate)
 

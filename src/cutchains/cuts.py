@@ -155,15 +155,10 @@ class Rootedness(NamedTuple):
     j_rooted: bool
 
 
-def cut_chain(f: FuzzyMatrix) -> CutChain:
-    """Decompose f into its chain of cuts, keyed by the realized levels.
-
-    The cuts at the distinct positive entry values, ascending under inclusion,
-    from one scan: the cut at a value is the union of the cells of every value
-    >= it.  When no entry equals 1 the empty cut is realized on (max value, 1]
-    and is recorded at the nominal level 1; the all-zero matrix decomposes to
-    that single empty cut.
-    """
+def _levels_and_cuts(
+    f: FuzzyMatrix,
+) -> tuple[tuple[Fraction, ...], tuple[CrispMatrix, ...]]:
+    """cut_chain's levels (descending) and cuts (ascending) as plain tuples."""
     cells: dict[Fraction, int] = {}
     bit = 1 << f.order * f.order
     for v in f.values():
@@ -179,13 +174,25 @@ def cut_chain(f: FuzzyMatrix) -> CutChain:
     if not levels or levels[0] != ONE:
         levels.insert(0, ONE)
         cuts.insert(0, CrispMatrix.zeros(f.order))
-    return CutChain(f.order, tuple(levels), tuple(cuts))
+    return tuple(levels), tuple(cuts)
+
+
+def cut_chain(f: FuzzyMatrix) -> CutChain:
+    """Decompose f into its chain of cuts, keyed by the realized levels.
+
+    The cuts at the distinct positive entry values, ascending under inclusion,
+    from one scan: the cut at a value is the union of the cells of every value
+    >= it.  When no entry equals 1 the empty cut is realized on (max value, 1]
+    and is recorded at the nominal level 1; the all-zero matrix decomposes to
+    that single empty cut.
+    """
+    levels, cuts = _levels_and_cuts(f)
+    return CutChain(f.order, levels, cuts)
 
 
 def signature(f: FuzzyMatrix) -> ChainSignature:
     """Canonical equivalence-class signature: the cut chain with levels discarded."""
-    chain = cut_chain(f)
-    return ChainSignature(f.order, chain.cuts)
+    return ChainSignature(f.order, _levels_and_cuts(f)[1])
 
 
 def rootedness(f: FuzzyMatrix) -> Rootedness:

@@ -2,18 +2,20 @@
 
 Supports over m cells are bitmasks in CrispMatrix's bit order (bit m-1-p holds
 cell p+1), so numeric order on masks is lexicographic order on the bitstrings.
-Chains are emitted by recursing on the next strictly larger support, pruning
-branches that cannot reach the requested length.  Jobs are pre-sized with the
-closed-form count and refused above a configurable ceiling.
+Chains are emitted by one serial walker that recurses on the next strictly
+larger support, pruning branches that cannot reach the requested length.  Each
+job is pre-sized with the closed-form count (rooted or not) and refused above a
+configurable ceiling before its first chain is drawn; enumerate_chains,
+count_chains, group_by_size_vector and chain_lines each consume that one
+checked stream, so a listing streams in constant memory.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .counting import chain_count_ie
 from .matrices import mask_to_bits
@@ -111,19 +113,7 @@ def _check_job(m: int, k: int, root: str | None, ceiling: int | None) -> int:
     return projected
 
 
-def _first_components(m: int, k: int, root: str | None) -> Iterator[int]:
-    full = (1 << m) - 1
-    if root == "O":
-        yield 0
-    elif root == "J" and k == 0:
-        yield full
-    else:
-        yield from range(full + 1)
-
-
-def _chain_tuples(
-    m: int, k: int, root: str | None, firsts: Iterator[int]
-) -> Iterator[tuple[int, ...]]:
+def _chain_tuples(m: int, k: int, root: str | None) -> Iterator[tuple[int, ...]]:
     full = (1 << m) - 1
 
     def extend(last: int, steps: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -145,9 +135,25 @@ def _chain_tuples(
             if m - nxt.bit_count() >= steps - 1:
                 yield from extend(nxt, steps - 1, prefix + (nxt,))
 
+    if root == "O":
+        firsts: Iterable[int] = (0,)
+    elif root == "J" and k == 0:
+        firsts = (full,)
+    else:
+        firsts = range(full + 1)
     for first in firsts:
         if m - first.bit_count() >= k:
             yield from extend(first, k, (first,))
+
+
+def _checked_tuples(
+    m: int, k: int, root: str | None, ceiling: int | None
+) -> Iterator[tuple[int, ...]]:
+    """Refuse an oversized job at the call, then stream its chains' component masks."""
+    _check_job(m, k, root, ceiling)
+    if k < 0 or k > m:
+        return iter(())
+    return _chain_tuples(m, k, root)
 
 
 def enumerate_chains(
@@ -158,41 +164,7 @@ def enumerate_chains(
     ceiling: int | None = None,
 ) -> Iterator[ChainRecord]:
     """Every strict chain of k+1 supports exactly once, in lexicographic order."""
-    _check_job(m, k, root, ceiling)
-    if k < 0 or k > m:
-        return iter(())
-    firsts = _first_components(m, k, root)
-    return (ChainRecord(m, t) for t in _chain_tuples(m, k, root, firsts))
-
-
-def _count_range(args: tuple[int, int, str | None, int, int]) -> int:
-    m, k, root, lo, hi = args
-    firsts = (f for f in _first_components(m, k, root) if lo <= f < hi)
-    return sum(1 for _ in _chain_tuples(m, k, root, firsts))
-
-
-def _group_range(args: tuple[int, int, str | None, int, int]) -> Counter:
-    m, k, root, lo, hi = args
-    firsts = (f for f in _first_components(m, k, root) if lo <= f < hi)
-    return Counter(
-        tuple(c.bit_count() for c in t) for t in _chain_tuples(m, k, root, firsts)
-    )
-
-
-def _line_range(args: tuple[int, int, str | None, int, int, bool]) -> list[str]:
-    m, k, root, lo, hi, labeled = args
-    firsts = (f for f in _first_components(m, k, root) if lo <= f < hi)
-    return [
-        ChainRecord(m, t).to_line(labeled=labeled)
-        for t in _chain_tuples(m, k, root, firsts)
-    ]
-
-
-def _mask_ranges(m: int, parts: int) -> list[tuple[int, int]]:
-    total = 1 << m
-    parts = max(1, min(parts, total))
-    step = -(-total // parts)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+    return (ChainRecord(m, t) for t in _checked_tuples(m, k, root, ceiling))
 
 
 def count_chains(
@@ -201,40 +173,22 @@ def count_chains(
     root: str | None = None,
     *,
     ceiling: int | None = None,
-    processes: int | None = None,
 ) -> int:
     """Count chains by actually enumerating them (no closed form involved)."""
-    _check_job(m, k, root, ceiling)
-    if k < 0 or k > m:
-        return 0
-    if processes and processes > 1:
-        ranges = _mask_ranges(m, processes)
-        if len(ranges) > 1:
-            with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-                return sum(pool.map(_count_range, [(m, k, root, lo, hi) for lo, hi in ranges]))
-    return _count_range((m, k, root, 0, 1 << m))
+    return sum(1 for _ in _checked_tuples(m, k, root, ceiling))
 
 
 def group_by_size_vector(
     m: int,
     k: int,
+    root: str | None = None,
     *,
     ceiling: int | None = None,
-    processes: int | None = None,
 ) -> dict[tuple[int, ...], int]:
-    """Chain counts partitioned by size vector."""
-    _check_job(m, k, None, ceiling)
-    if k < 0 or k > m:
-        return {}
-    if processes and processes > 1:
-        ranges = _mask_ranges(m, processes)
-        if len(ranges) > 1:
-            merged: Counter = Counter()
-            with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-                for part in pool.map(_group_range, [(m, k, None, lo, hi) for lo, hi in ranges]):
-                    merged.update(part)
-            return dict(sorted(merged.items()))
-    grouped = _group_range((m, k, None, 0, 1 << m))
+    """Chain counts partitioned by size vector, in ascending size-vector order."""
+    grouped = Counter(
+        tuple(c.bit_count() for c in t) for t in _checked_tuples(m, k, root, ceiling)
+    )
     return dict(sorted(grouped.items()))
 
 
@@ -245,26 +199,12 @@ def chain_lines(
     *,
     labeled: bool = False,
     ceiling: int | None = None,
-    processes: int | None = None,
 ) -> Iterator[str]:
-    """Chain listing lines, identical bytes whether serial or partitioned."""
-    _check_job(m, k, root, ceiling)
-    if k < 0 or k > m:
-        return iter(())
-    if processes and processes > 1:
-        ranges = _mask_ranges(m, processes)
-        if len(ranges) > 1:
-            return _parallel_lines(m, k, root, labeled, ranges, processes)
-    firsts = _first_components(m, k, root)
+    """Chain listing lines, one per chain, in enumeration order."""
     return (
-        ChainRecord(m, t).to_line(labeled=labeled) for t in _chain_tuples(m, k, root, firsts)
+        ChainRecord(m, t).to_line(labeled=labeled)
+        for t in _checked_tuples(m, k, root, ceiling)
     )
-
-
-def _parallel_lines(m, k, root, labeled, ranges, processes) -> Iterator[str]:
-    with ProcessPoolExecutor(max_workers=min(processes, len(ranges))) as pool:
-        for lines in pool.map(_line_range, [(m, k, root, lo, hi, labeled) for lo, hi in ranges]):
-            yield from lines
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,10 @@ class TestCount:
         assert code == 0 and out == "%d\n" % (4**25 - 2 * 3**25 + 2**25)
 
     def test_no_parallel_flag(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["count", "--n", "2", "--parallel", "2"])
-        assert exc.value.code == 2
+        for argv in (["count", "--n", "2"], ["enumerate", "--m", "4", "--k", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--parallel", "2"])
+            assert exc.value.code == 2
 
 
 class TestTable:
@@ -139,11 +140,11 @@ class TestEnumerate:
         code, out, _ = run_cli(capsys, "enumerate", "--m", "4", "--k", "1", "--root", "O")
         assert code == 0 and out == "15\n"
 
-    def test_rooted_grouping_is_usage_error(self, capsys):
-        code, _, err = run_cli(
+    def test_rooted_grouping(self, capsys):
+        code, out, _ = run_cli(
             capsys, "enumerate", "--m", "4", "--k", "1", "--root", "O", "--group-by-sizes"
         )
-        assert code == 2 and "rooted" in err
+        assert code == 0 and out == "0,1: 4\n0,2: 6\n0,3: 4\n0,4: 1\n"
 
     def test_bad_ceiling_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("CUTCHAINS_CHAIN_CEILING", "plenty")
@@ -170,13 +171,6 @@ class TestEnumerate:
             "--output", str(target),
         )
         assert code == 3 and not target.exists()
-
-    def test_parallel_identical_bytes(self, capsys):
-        _, serial, _ = run_cli(capsys, "enumerate", "--m", "4", "--k", "2", "--list")
-        _, parallel, _ = run_cli(
-            capsys, "enumerate", "--m", "4", "--k", "2", "--list", "--parallel", "2"
-        )
-        assert serial == parallel
 
 
 class TestMatrixCommands:

@@ -116,6 +116,11 @@ class TestFeasibilityCeiling:
             cc.count_chains(4, 2, ceiling=10)
         with pytest.raises(InfeasibleJobError):
             cc.group_by_size_vector(4, 2, ceiling=10)
+        # refused at the call, before the first item is drawn
+        with pytest.raises(InfeasibleJobError):
+            cc.chain_lines(4, 2, ceiling=10)
+        with pytest.raises(InfeasibleJobError, match="50"):
+            cc.group_by_size_vector(4, 2, "O", ceiling=10)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("CUTCHAINS_CHAIN_CEILING", "10")
@@ -159,6 +164,16 @@ class TestGroupBySizeVector:
         assert cc.group_by_size_vector(4, 4) == {(0, 1, 2, 3, 4): 24}
         assert cc.group_by_size_vector(2, 2) == {(0, 1, 2): 2}
 
+    def test_rooted_groups(self):
+        for m in range(6):
+            for k in range(m + 1):
+                for root in ("O", "J"):
+                    groups = cc.group_by_size_vector(m, k, root)
+                    for sizes, count in groups.items():
+                        assert count == cc.SizeVector(m, sizes).count_chains()
+                        assert (sizes[0] == 0) if root == "O" else (sizes[-1] == m)
+                    assert sum(groups.values()) == cc.chain_count_rooted(m, k, root)
+
     def test_group_sums_match_chain_count(self):
         for m in range(5):
             for k in range(m + 1):
@@ -169,20 +184,6 @@ class TestGroupBySizeVector:
         for m in range(5):
             total_groups = sum(len(cc.group_by_size_vector(m, k)) for k in range(m + 1))
             assert total_groups == 2 ** (m + 1) - 1
-
-
-class TestParallel:
-    def test_count_matches_serial(self):
-        assert cc.count_chains(4, 2, processes=2) == 110
-        assert cc.count_chains(4, 2, "O", processes=3) == 50
-
-    def test_group_matches_serial(self):
-        assert cc.group_by_size_vector(4, 3, processes=2) == cc.group_by_size_vector(4, 3)
-
-    def test_lines_match_serial(self):
-        serial = list(cc.chain_lines(4, 2))
-        assert list(cc.chain_lines(4, 2, processes=2)) == serial
-        assert list(cc.chain_lines(4, 2, processes=7)) == serial
 
 
 class TestHasse:
