@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -93,14 +94,39 @@ def _load_corpus(path: str, fmt: str) -> list[FuzzyMatrix]:
     return _read_input(path, fmt, "corpus", _corpus_from_json, _corpus_from_text)
 
 
+def _check_printable(m: int, k: int | None = None, root: str | None = None) -> None:
+    """Refuse, before counting, a job whose output may be too long for str().
+
+    The interpreter converts at most sys.get_int_max_str_digits() digits (0 for
+    no limit).  Counts are bounded without computing them: a chain of length k
+    is a map from the m cells into k+2 slots (k+1 rooted), so there are at
+    most (k+2)^m of them, and the total over every k is at most 4*Fubini(m),
+    where Fubini(m) = sum_j j^m / 2^(j+1) < m!/ln(2)^(m+1).
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or (k is not None and not 0 <= k <= m):
+        return
+    ln_bound = math.log(4) + math.lgamma(m + 1) - (m + 1) * math.log(math.log(2))
+    log10_bound = ln_bound / math.log(10)
+    if k is not None:
+        log10_bound = min(log10_bound, m * math.log10(k + (2 if root is None else 1)))
+    digits = int(log10_bound) + 1
+    if digits > limit:
+        raise InfeasibleJobError(
+            f"a count over m={m} cells may have {digits} digits, "
+            f"above the interpreter's limit of {limit} for printing an integer"
+        )
+
+
 def _cmd_count(args) -> int:
     m = args.n * args.n
+    _check_printable(m, args.k, args.root)
     if args.k is None:
         if args.root is None:
             value = counting.total_count(args.n, method=args.method)
         else:
             value = counting.total_count_rooted(args.n, args.root, method=args.method)
-    elif counting._pick_method(args.method, m) == "ie":
+    elif counting._pick_method(args.method) == "ie":
         value = counting.chain_count_ie(m, args.k, args.root)
     elif args.root is None:
         value = counting.chain_count(m, args.k)
@@ -111,6 +137,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    _check_printable(args.max_n * args.max_n)
     table = counting.count_table(args.max_n, root=args.root, method=args.method)
     if args.format == "csv":
         _emit(table.to_csv(), args.output)
@@ -120,6 +147,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
+    _check_printable(args.max_n * args.max_n)
     pairs = counting.sequence(args.max_n, method=args.method)
     if args.b_file:
         text = "".join(f"{n} {value}\n" for n, value in pairs)
@@ -189,6 +217,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _check_printable(args.n * args.n)
     start = time.perf_counter()
     naive = counting.total_count(args.n, method="naive")
     naive_seconds = time.perf_counter() - start

@@ -9,7 +9,9 @@ provided and must always agree:
   steps left) in O(m^3) big-integer operations, and
 * an inclusion-exclusion closed form with O(k) big-integer terms, obtained by
   viewing a chain as a cell -> entry-step assignment and subtracting the
-  assignments that collapse a step.
+  assignments that collapse a step.  Its value for length k is the k-th
+  forward difference of x^m, so a whole row is one difference table: m+1
+  powers and O(m^2) big-integer subtractions.
 
 instrumented_chain_counts keeps the plain depth-first search over every size
 vector as the oracle for the table at small m.
@@ -19,7 +21,6 @@ All arithmetic is exact arbitrary-precision integer arithmetic.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
@@ -46,22 +47,17 @@ __all__ = [
 
 Root = Literal["O", "J"]
 
-# Pascal rows, grown monotonically and shared process-wide.  Readers index
-# finished rows only; growth happens under the lock, so concurrent callers
-# behave as if the table were computed once.
+# Pascal rows, grown monotonically and shared process-wide.
 _pascal_rows: list[list[int]] = [[1]]
-_pascal_lock = threading.Lock()
 
 
 def _pascal(m: int) -> list[list[int]]:
-    if len(_pascal_rows) <= m:
-        with _pascal_lock:
-            while len(_pascal_rows) <= m:
-                prev = _pascal_rows[-1]
-                row = [1]
-                row.extend(prev[i] + prev[i + 1] for i in range(len(prev) - 1))
-                row.append(1)
-                _pascal_rows.append(row)
+    while len(_pascal_rows) <= m:
+        prev = _pascal_rows[-1]
+        row = [1]
+        row.extend(prev[i] + prev[i + 1] for i in range(len(prev) - 1))
+        row.append(1)
+        _pascal_rows.append(row)
     return _pascal_rows
 
 
@@ -144,21 +140,23 @@ def size_vectors(m: int, k: int) -> Iterator[SizeVector]:
         yield SizeVector(m, sizes)
 
 
-def _nested_table(m: int, k: int, to_full: bool) -> list[list[int]]:
+def _nested_table(m: int, k: int) -> list[list[int]]:
     """The nested summation over size vectors, memoised on (cells left, steps left).
 
     W[r][j] sums, over every way to take j more strict steps from a component
     that leaves r cells out, the product of the step binomials C(r, d):
-    W[r][j] = sum_{d=1}^{r-j+1} C(r, d) * W[r-d][j-1], with W[r][0] = 1, or
-    [r == 0] when the chain must end at the full support.  This is the
-    depth-first sum with the prefix product factored out, so it takes O(m^2 k)
-    big-integer operations instead of one visit per size vector.
+    W[r][j] = sum_{d=1}^{r-j+1} C(r, d) * W[r-d][j-1], with W[r][0] = 1.
+    This is the depth-first sum with the prefix product factored out, so it
+    takes O(m^2 k) big-integer operations instead of one visit per size
+    vector.  W[m][k] counts the O-rooted chains of length k, and so the
+    J-rooted ones: complementing every support reverses a chain and maps one
+    set onto the other.
     """
     rows = _pascal(m)
     table: list[list[int]] = []
     for r in range(m + 1):
         row = rows[r]
-        w = [1 if r == 0 or not to_full else 0]
+        w = [1]
         for j in range(1, k + 1):
             # each later step must add at least one cell, so leave j-1 behind
             w.append(sum(row[d] * table[r - d][j - 1] for d in range(1, r - j + 2)))
@@ -177,12 +175,7 @@ def chain_count(m: int, k: int) -> int:
     _check_cells(m)
     if k < 0 or k > m:
         return 0
-    return _sum_over_first(m, k, _nested_table(m, k, False))
-
-
-def _rooted_from_table(m: int, k: int, root: Root, table: list[list[int]]) -> int:
-    """Rooted count of length k from a table built with to_full == (root == "J")."""
-    return table[m][k] if root == "O" else _sum_over_first(m, k, table)
+    return _sum_over_first(m, k, _nested_table(m, k))
 
 
 def chain_count_rooted(m: int, k: int, root: Root) -> int:
@@ -191,13 +184,13 @@ def chain_count_rooted(m: int, k: int, root: Root) -> int:
     _check_root(root)
     if k < 0 or k > m:
         return 0
-    return _rooted_from_table(m, k, root, _nested_table(m, k, root == "J"))
+    return _nested_table(m, k)[m][k]
 
 
 def chain_counts_by_k(m: int) -> list[int]:
     """All per-k chain counts over m cells from one nested-sum table."""
     _check_cells(m)
-    table = _nested_table(m, m, False)
+    table = _nested_table(m, m)
     return [_sum_over_first(m, k, table) for k in range(m + 1)]
 
 
@@ -240,6 +233,10 @@ def chain_count_ie(m: int, k: int, root: Root | None = None) -> int:
     steps are collapsed leaves exactly the strict chains.  A rooted chain
     fixes its empty first term (or, by complementation, its full last term),
     which removes one slot and gives chain_count_rooted(m, k, root).
+
+    The sum is the k-th forward difference of x^m at x = 2 (x = 1 rooted);
+    rows of every k are computed as one difference table, with m+1 powers
+    and O(m^2) subtractions, rather than by calling this once per k.
     """
     _check_cells(m)
     if root is not None:
@@ -254,9 +251,26 @@ def chain_count_ie(m: int, k: int, root: Root | None = None) -> int:
     return total
 
 
-def _pick_method(method: str, m: int) -> str:
+def _ie_row(m: int, root: Root | None) -> list[int]:
+    """chain_count_ie(m, k, root) for k = 0..m, as forward differences of x^m.
+
+    Entry k is the k-th difference at x = 2 unrooted and x = 1 rooted, the
+    same alternating sum; Pascal's rule in the repeated differencing supplies
+    its binomials.
+    """
+    start = 2 if root is None else 1
+    diffs = [b**m for b in range(start, start + m + 1)]
+    row = []
+    while diffs:
+        row.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return row
+
+
+def _pick_method(method: str) -> str:
+    """The method "auto" stands for: the closed form, measured faster at every m >= 1."""
     if method == "auto":
-        return "naive" if m <= 16 else "ie"
+        return "ie"
     if method in ("naive", "ie"):
         return method
     raise ValueError(f'method must be "auto", "naive", or "ie", got {method!r}')
@@ -265,21 +279,22 @@ def _pick_method(method: str, m: int) -> str:
 def _counts_by_k(m: int, root: Root | None, method: str) -> list[int]:
     """Per-k counts over m cells, unrooted (root None) or rooted, by the picked method.
 
-    The nested summation reads every k from one table.
+    Each method reads every k from one table: the forward differences or the
+    nested summation.
     """
-    if _pick_method(method, m) == "ie":
-        return [chain_count_ie(m, k, root) for k in range(m + 1)]
+    if _pick_method(method) == "ie":
+        return _ie_row(m, root)
     if root is None:
         return chain_counts_by_k(m)
-    table = _nested_table(m, m, root == "J")
-    return [_rooted_from_table(m, k, root, table) for k in range(m + 1)]
+    return _nested_table(m, m)[m]
 
 
 def total_count(n: int, *, method: str = "auto") -> int:
     """Number of equivalence classes of order-n fuzzy matrices: all chains over n*n cells.
 
-    Both methods are exact and always agree; "auto" evaluates the nested
-    summation up to 16 cells and the closed form beyond.
+    Both methods are exact and always agree; "auto" evaluates the closed form,
+    which is faster than the nested summation at every order, and "naive"
+    stays as its oracle.
     """
     _check_order(n)
     return sum(_counts_by_k(n * n, None, method))

@@ -107,8 +107,11 @@ def _check_job(m: int, k: int, root: str | None, ceiling: int | None) -> int:
     projected = chain_count_ie(m, k, root)
     limit = _resolve_ceiling(ceiling)
     if projected > limit:
+        # past a 64-bit count, the digits make a long line or exceed what str() prints
+        bits = projected.bit_length()
+        size = f"{projected}" if bits <= 64 else f"at least 2^{bits - 1}"
         raise InfeasibleJobError(
-            f"projected {projected} chains for m={m}, k={k} exceeds the ceiling {limit}"
+            f"projected {size} chains for m={m}, k={k} exceeds the ceiling {limit}"
         )
     return projected
 

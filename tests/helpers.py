@@ -53,6 +53,15 @@ def size_vector_sums(m, root=None):
     return totals
 
 
+def fubini_numbers(max_m):
+    """Ordered set partitions of m cells (OEIS A000670) for m = 0..max_m, by the
+    recurrence a(m) = sum_{j=1}^{m} C(m, j) a(m - j): choose the first block."""
+    a = [1]
+    for m in range(1, max_m + 1):
+        a.append(sum(comb(m, j) * a[m - j] for j in range(1, m + 1)))
+    return a
+
+
 def equivalent_pairwise(a, b):
     """The equivalence by its definition: the same 0- and 1-cells, and every pair
     of cells compares the same way in both matrices (O(m^2) comparisons)."""

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,46 @@ class TestCount:
             with pytest.raises(SystemExit) as exc:
                 main([*argv, "--parallel", "2"])
             assert exc.value.code == 2
+
+
+class TestPrintLimit:
+    """Counts longer than sys.get_int_max_str_digits() are refused before counting."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+        yield
+        sys.set_int_max_str_digits(previous)
+
+    def test_longest_printable_total_served(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--n", "38")
+        assert code == 0 and len(out) == 4168 + 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--n", "39"],
+            ["count", "--n", "39", "--root", "J"],
+            ["sequence", "--max-n", "39"],
+            ["table", "--max-n", "39", "--format", "json"],
+        ],
+    )
+    def test_too_long_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("infeasible job:") and err.count("\n") == 1
+
+    def test_short_per_k_count_served(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--n", "39", "--k", "5")
+        assert code == 0 and len(out) == 1286 + 1
+
+    def test_follows_the_interpreter_limit(self, capsys):
+        sys.set_int_max_str_digits(640)
+        assert run_cli(capsys, "count", "--n", "16")[0] == 0  # 549 digits
+        assert run_cli(capsys, "count", "--n", "18")[0] == 3
 
 
 class TestTable:
@@ -155,6 +196,13 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--m", "4", "--k", "2", "--ceiling", "5")
         assert code == 3
         assert "110" in err
+
+    @pytest.mark.parametrize("m", ["4000", "9100"])  # a 1909- and a 4342-digit projection
+    def test_huge_projection_refused_in_one_short_line(self, capsys, m):
+        code, out, err = run_cli(capsys, "enumerate", "--m", m, "--k", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("infeasible job: projected at least 2^") and err.count("\n") == 1
+        assert len(err) < 200
 
     def test_list_output_file_matches_stdout(self, capsys, tmp_path):
         argv = ["enumerate", "--m", "4", "--k", "2", "--list", "--labels"]

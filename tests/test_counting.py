@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cutchains as cc
-from helpers import brute_force_chains, size_vector_sums
+from helpers import brute_force_chains, fubini_numbers, size_vector_sums
 
 
 class TestBinomial:
@@ -203,6 +203,12 @@ class TestInclusionExclusion:
         with pytest.raises(ValueError):
             cc.chain_count_ie(4, 1, "X")
 
+    @pytest.mark.parametrize("root", [None, "O", "J"])
+    def test_difference_row_matches_per_k_sums(self, root):
+        for m in range(61):
+            want = [cc.chain_count_ie(m, k, root) for k in range(m + 1)]
+            assert cc.counting._ie_row(m, root) == want
+
 
 class TestTotals:
     def test_sequence_values(self):
@@ -218,6 +224,16 @@ class TestTotals:
             for root in ("O", "J"):
                 naive = cc.total_count_rooted(n, root, method="naive")
                 assert naive == cc.total_count_rooted(n, root, method="ie")
+
+    def test_totals_are_four_fubini_minus_one(self):
+        # OEIS A007047 = 4 * A000670 - 1 for m >= 1; rooted, A000629 = 2 * A000670
+        fubini = fubini_numbers(18 * 18)
+        for method, max_n in (("ie", 18), ("naive", 4)):
+            for n, total in cc.sequence(max_n, method=method)[1:]:
+                assert total == 4 * fubini[n * n] - 1
+        for n in range(1, 19):
+            for root in ("O", "J"):
+                assert cc.total_count_rooted(n, root, method="ie") == 2 * fubini[n * n]
 
     def test_bad_method(self):
         with pytest.raises(ValueError):

@@ -111,6 +111,12 @@ class TestFeasibilityCeiling:
         with pytest.raises(InfeasibleJobError, match="110"):
             list(cc.enumerate_chains(4, 2, ceiling=10))
 
+    def test_huge_projection_stated_by_magnitude(self):
+        # 3^9100 - 2^9100 has 4342 digits, too many for str() at its default limit
+        with pytest.raises(InfeasibleJobError, match=r"projected at least 2\^14423 chains") as exc:
+            cc.count_chains(9100, 1)
+        assert len(str(exc.value)) < 100
+
     def test_count_and_group_guarded(self):
         with pytest.raises(InfeasibleJobError):
             cc.count_chains(4, 2, ceiling=10)
