@@ -52,12 +52,8 @@ from .matrices import (
     CrispMatrix,
     FuzzyMatrix,
     bits_to_mask,
-    contains,
     format_value,
     fuzzy_complement,
-    fuzzy_contains,
-    fuzzy_intersection,
-    fuzzy_union,
     mask_to_bits,
     parse_value,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 from .matrices import ONE, ZERO, CrispMatrix, FuzzyMatrix, _same_order
@@ -65,9 +66,42 @@ def strong_alpha_cut(f: FuzzyMatrix, alpha) -> CrispMatrix:
     return _cut(f, lambda v: v > level)
 
 
+class _RankPattern(NamedTuple):
+    """Integer keys for f's entries; the ranks of 0 and 1 fix which cells hold them."""
+
+    ranks: list[int]  # each entry's dense rank among the distinct values, row-major
+    count: int  # number of distinct values
+    zero: int  # rank of 0, or -1 where no entry is 0
+    one: int  # rank of 1, or -1 where no entry is 1
+
+
+def _rank_pattern(f: FuzzyMatrix) -> _RankPattern:
+    """Rank f's entries among its distinct values, on ints rather than Fractions.
+
+    Entries are deduplicated by their lowest-terms (numerator, denominator)
+    pair and ordered by numerator / denominator: int true division rounds
+    correctly, so the float order never contradicts the exact one, and values
+    that share a float are ordered among themselves by exact comparison.
+    """
+    pairs = [v.as_integer_ratio() for row in f.entries for v in row]
+    floats = {p: p[0] / p[1] for p in pairs}
+    distinct = sorted(floats, key=floats.__getitem__)
+    if len(set(floats.values())) < len(distinct):
+        distinct = [
+            p
+            for _, run in groupby(distinct, key=floats.__getitem__)
+            for p in sorted(run, key=lambda p: Fraction(*p))
+        ]
+    rank = {p: r for r, p in enumerate(distinct)}
+    return _RankPattern(
+        [rank[p] for p in pairs], len(distinct), rank.get((0, 1), -1), rank.get((1, 1), -1)
+    )
+
+
 def k_level(f: FuzzyMatrix) -> int:
     """Number of distinct entry values strictly inside (0, 1)."""
-    return len({v for v in f.values() if ZERO < v < ONE})
+    pattern = _rank_pattern(f)
+    return pattern.count - (pattern.zero >= 0) - (pattern.one >= 0)
 
 
 def _check_cuts(order: int, cuts: tuple[CrispMatrix, ...]) -> None:
@@ -101,7 +135,7 @@ class CutChain:
         if len(self.levels) != len(self.cuts):
             raise ValueError("levels and cuts must have equal length")
         for a in self.levels:
-            if not (ZERO < a <= ONE):
+            if not 0 < a.numerator <= a.denominator:
                 raise ValueError(f"level {a} outside (0, 1]")
         for prev, nxt in zip(self.levels, self.levels[1:]):
             if not prev > nxt:
@@ -155,44 +189,52 @@ class Rootedness(NamedTuple):
     j_rooted: bool
 
 
-def _levels_and_cuts(
-    f: FuzzyMatrix,
-) -> tuple[tuple[Fraction, ...], tuple[CrispMatrix, ...]]:
-    """cut_chain's levels (descending) and cuts (ascending) as plain tuples."""
-    cells: dict[Fraction, int] = {}
+def _positive_ranks_and_cuts(
+    f: FuzzyMatrix, pattern: _RankPattern
+) -> tuple[range, tuple[CrispMatrix, ...]]:
+    """The ranks of f's positive values, descending, and the cut at each, ascending.
+
+    When no entry equals 1 the chain starts with the empty cut, which no rank holds.
+    """
+    cells = [0] * pattern.count
     bit = 1 << f.order * f.order
-    for v in f.values():
+    for r in pattern.ranks:
         bit >>= 1
-        if v:  # entries are nonnegative, so nonzero means positive
-            cells[v] = cells.get(v, 0) | bit
-    levels = sorted(cells, reverse=True)
-    cuts = []
+        cells[r] |= bit
+    # 0 is the least value, so the positive values are the ranks above its own
+    positive = range(pattern.count - 1, pattern.zero, -1)
+    cuts = [] if pattern.one >= 0 else [CrispMatrix.zeros(f.order)]
     mask = 0
-    for v in levels:
-        mask |= cells[v]
+    for r in positive:
+        mask |= cells[r]
         cuts.append(CrispMatrix(f.order, mask))
-    if not levels or levels[0] != ONE:
-        levels.insert(0, ONE)
-        cuts.insert(0, CrispMatrix.zeros(f.order))
-    return tuple(levels), tuple(cuts)
+    return positive, tuple(cuts)
 
 
 def cut_chain(f: FuzzyMatrix) -> CutChain:
     """Decompose f into its chain of cuts, keyed by the realized levels.
 
     The cuts at the distinct positive entry values, ascending under inclusion,
-    from one scan: the cut at a value is the union of the cells of every value
-    >= it.  When no entry equals 1 the empty cut is realized on (max value, 1]
-    and is recorded at the nominal level 1; the all-zero matrix decomposes to
-    that single empty cut.
+    from one scan of the entries' ranks: the cut at a value is the union of the
+    cells of every value >= it.  Each level is one of f's own entries.  When no
+    entry equals 1 the empty cut is realized on (max value, 1] and is recorded
+    at the nominal level 1; the all-zero matrix decomposes to that single
+    empty cut.
     """
-    levels, cuts = _levels_and_cuts(f)
-    return CutChain(f.order, levels, cuts)
+    pattern = _rank_pattern(f)
+    positive, cuts = _positive_ranks_and_cuts(f, pattern)
+    value_of = [ZERO] * pattern.count
+    for v, r in zip(f.values(), pattern.ranks):
+        value_of[r] = v
+    levels = [value_of[r] for r in positive]
+    if pattern.one < 0:
+        levels.insert(0, ONE)
+    return CutChain(f.order, tuple(levels), cuts)
 
 
 def signature(f: FuzzyMatrix) -> ChainSignature:
     """Canonical equivalence-class signature: the cut chain with levels discarded."""
-    return ChainSignature(f.order, _levels_and_cuts(f)[1])
+    return ChainSignature(f.order, _positive_ranks_and_cuts(f, _rank_pattern(f))[1])
 
 
 def rootedness(f: FuzzyMatrix) -> Rootedness:
@@ -203,12 +245,17 @@ def rootedness(f: FuzzyMatrix) -> Rootedness:
 
 def reconstruct(chain: CutChain) -> FuzzyMatrix:
     """Fuzzy matrix whose entry at each cell is the largest level whose cut holds it."""
-    n = chain.order
+    return _reconstruct(chain.order, chain.levels, chain.cuts)
+
+
+def _reconstruct(
+    n: int, levels: Iterable[Fraction], cuts: Iterable[CrispMatrix]
+) -> FuzzyMatrix:
     m = n * n
     values = [ZERO] * m
     placed = 0
     # Highest level first, so each cell takes the first level whose cut holds it.
-    for level, cut in zip(chain.levels, chain.cuts):
+    for level, cut in zip(levels, cuts):
         fresh = cut.mask & ~placed
         placed |= fresh
         while fresh:
@@ -218,18 +265,11 @@ def reconstruct(chain: CutChain) -> FuzzyMatrix:
     return FuzzyMatrix(n, tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n)))
 
 
-def _rank_pattern(f: FuzzyMatrix) -> list[tuple[int, bool, bool]]:
-    """Each cell's (dense rank among f's distinct values, == 0, == 1), row-major."""
-    values = list(f.values())
-    key = {v: (rank, v == ZERO, v == ONE) for rank, v in enumerate(sorted(set(values)))}
-    return [key[v] for v in values]
-
-
 def equivalent_direct(a: FuzzyMatrix, b: FuzzyMatrix) -> bool:
     """Entrywise decision: same strict-order pattern and the same 0- and 1-cells.
 
     Two cells compare alike in both matrices exactly when their dense ranks
-    agree, so comparing each cell's rank and its 0/1 flags decides the
+    agree, so comparing each cell's rank, and the ranks of 0 and 1, decides the
     pairwise definition in O(m log m).
     """
     _same_order(a, b)
@@ -245,8 +285,9 @@ def equivalent_cuts(a: FuzzyMatrix, b: FuzzyMatrix) -> bool:
 def canonical_representative(sig: ChainSignature) -> FuzzyMatrix:
     """Deterministic class representative: cuts at equally spaced levels i/(k+1)."""
     steps = sig.k + 1
-    levels = tuple(Fraction(steps - i, steps) for i in range(steps))
-    return reconstruct(CutChain(sig.order, levels, sig.cuts))
+    levels = (Fraction(steps - i, steps) for i in range(steps))
+    # the signature has checked its cuts, and the levels fall by construction
+    return _reconstruct(sig.order, levels, sig.cuts)
 
 
 @dataclass(frozen=True)
@@ -287,7 +328,8 @@ def classify_corpus(matrices: Iterable[FuzzyMatrix]) -> Classification:
     Classes are keyed by signature and reported in a canonical order (by k,
     then cut masks, which order as the cut bitstrings do).  Every member is
     re-checked against its class representative with the direct entrywise
-    procedure, so the two decision routes cross-validate on every call.
+    procedure (the representative's rank pattern is computed once per class),
+    so the two decision routes cross-validate on every call.
     """
     corpus = list(matrices)
     if not corpus:
@@ -304,9 +346,10 @@ def classify_corpus(matrices: Iterable[FuzzyMatrix]) -> Classification:
     classes = []
     for sig in sorted(by_signature, key=lambda s: (s.k, tuple(c.mask for c in s.cuts))):
         rep = canonical_representative(sig)
+        rep_pattern = _rank_pattern(rep)
         members = tuple(by_signature[sig])
         for idx in members:
-            if not equivalent_direct(corpus[idx], rep):
+            if _rank_pattern(corpus[idx]) != rep_pattern:
                 raise RuntimeError(
                     f"classification disagreement on corpus index {idx}: "
                     "cut-chain grouping contradicts the entrywise relation"

@@ -17,11 +17,7 @@ __all__ = [
     "CrispMatrix",
     "FuzzyMatrix",
     "bits_to_mask",
-    "contains",
     "fuzzy_complement",
-    "fuzzy_contains",
-    "fuzzy_intersection",
-    "fuzzy_union",
     "format_value",
     "mask_to_bits",
     "parse_value",
@@ -80,7 +76,9 @@ def _coerce_entry(value) -> Fraction:
         raise TypeError(
             f"float entries are not allowed (got {value!r}); use a string or Fraction"
         )
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         return parse_value(value)
@@ -151,11 +149,6 @@ class CrispMatrix:
         return f"CrispMatrix({self.order}, {self.bits!r})"
 
 
-def contains(a: CrispMatrix, b: CrispMatrix, *, strict: bool = False) -> bool:
-    """Whether a is a subset (or, with strict=True, a proper subset) of b."""
-    return a.ispropersubset(b) if strict else a.issubset(b)
-
-
 @dataclass(frozen=True)
 class FuzzyMatrix:
     """An order-n matrix of exact rational membership degrees in [0, 1]."""
@@ -172,7 +165,8 @@ class FuzzyMatrix:
             raise ValueError(f"entries do not form an {self.order}x{self.order} grid")
         for row in rows:
             for v in row:
-                if not (ZERO <= v <= ONE):
+                # denominators are positive, so v in [0, 1] compares two ints
+                if not 0 <= v.numerator <= v.denominator:
                     raise ValueError(f"membership value {v} outside [0, 1]")
 
     @classmethod
@@ -231,31 +225,7 @@ def _same_order(a, b) -> None:
         raise ValueError(f"order mismatch: {a.order} vs {b.order}")
 
 
-def fuzzy_union(a: FuzzyMatrix, b: FuzzyMatrix) -> FuzzyMatrix:
-    """Cellwise maximum."""
-    _same_order(a, b)
-    rows = tuple(
-        tuple(max(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)
-    )
-    return FuzzyMatrix(a.order, rows)
-
-
-def fuzzy_intersection(a: FuzzyMatrix, b: FuzzyMatrix) -> FuzzyMatrix:
-    """Cellwise minimum."""
-    _same_order(a, b)
-    rows = tuple(
-        tuple(min(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)
-    )
-    return FuzzyMatrix(a.order, rows)
-
-
 def fuzzy_complement(a: FuzzyMatrix) -> FuzzyMatrix:
     """Cellwise 1 - x."""
     rows = tuple(tuple(ONE - x for x in row) for row in a.entries)
     return FuzzyMatrix(a.order, rows)
-
-
-def fuzzy_contains(a: FuzzyMatrix, b: FuzzyMatrix) -> bool:
-    """Whether a <= b holds cellwise."""
-    _same_order(a, b)
-    return all(x <= y for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb))

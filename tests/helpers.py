@@ -77,6 +77,41 @@ def equivalent_pairwise(a, b):
     return True
 
 
+def levels_and_cuts_oracle(f):
+    """cut_chain's levels (descending) and cuts (ascending), computed on Fractions:
+    one mask per distinct positive value and one sort of those values."""
+    cells = {}
+    bit = 1 << f.order * f.order
+    for v in f.values():
+        bit >>= 1
+        if v:
+            cells[v] = cells.get(v, 0) | bit
+    levels = sorted(cells, reverse=True)
+    cuts = []
+    mask = 0
+    for v in levels:
+        mask |= cells[v]
+        cuts.append(CrispMatrix(f.order, mask))
+    if not levels or levels[0] != 1:
+        levels.insert(0, Fraction(1))
+        cuts.insert(0, CrispMatrix.zeros(f.order))
+    return tuple(levels), tuple(cuts)
+
+
+def rank_pattern_oracle(f):
+    """Each cell's (dense rank among f's distinct values, == 0, == 1), row-major,
+    with the ranks from one sort of the Fractions."""
+    values = list(f.values())
+    key = {v: (rank, v == 0, v == 1) for rank, v in enumerate(sorted(set(values)))}
+    return [key[v] for v in values]
+
+
+def shares_a_float(f):
+    """Whether two distinct entries of f convert to the same float."""
+    distinct = set(f.values())
+    return len({float(v) for v in distinct}) < len(distinct)
+
+
 def bits_to_set(bits):
     """Cell set (0-based positions) of a bitstring."""
     return frozenset(i for i, ch in enumerate(bits) if ch == "1")
@@ -135,6 +170,54 @@ def matrix_of_order(n):
         st.lists(unit_fractions, min_size=n, max_size=n), min_size=n, max_size=n
     )
     return rows.map(lambda r: FuzzyMatrix(n, tuple(tuple(row) for row in r)))
+
+
+# Values over a 4300-digit denominator, the most digits str() prints by default,
+# lie far closer together than floats resolve.
+HUGE_DENOMINATOR = 10**4299
+
+
+def _nudged(base, offset, scale):
+    """The multiple of 1/scale just below base, moved by offset steps and kept in [0, 1]."""
+    near = Fraction(base.numerator * scale // base.denominator + offset, scale)
+    return min(max(near, Fraction(0)), Fraction(1))
+
+
+@st.composite
+def near_pools(draw):
+    """A base value (0, 1 or a small fraction), values a few multiples of 10^-20,
+    10^-40 or 1/HUGE_DENOMINATOR from it, which mostly share its float, and up
+    to two more small fractions."""
+    base = draw(st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), unit_fractions))
+    scale = draw(st.sampled_from([10**20, 10**40, HUGE_DENOMINATOR]))
+    offsets = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3))
+    extra = draw(st.lists(unit_fractions, max_size=2))
+    return list(dict.fromkeys([base, *(_nudged(base, o, scale) for o in offsets), *extra]))
+
+
+def _near_matrix(draw, n, pool):
+    """An order-n matrix holding as many of the pool's values as it has cells."""
+    cells = pool[: n * n]
+    rest = n * n - len(cells)
+    cells += draw(st.lists(st.sampled_from(pool), min_size=rest, max_size=rest))
+    cells = draw(st.permutations(cells))
+    return FuzzyMatrix(n, tuple(tuple(cells[i * n : (i + 1) * n]) for i in range(n)))
+
+
+@st.composite
+def near_matrices(draw, max_order=3):
+    """Matrices of order 1..max_order whose entries often share a float."""
+    n = draw(st.integers(min_value=1, max_value=max_order))
+    return _near_matrix(draw, n, draw(near_pools()))
+
+
+@st.composite
+def near_matrix_pairs(draw, max_order=2):
+    """Same-order pairs of matrices of order 2..max_order over one pool of
+    near-equal values."""
+    n = draw(st.integers(min_value=2, max_value=max_order))
+    pool = draw(near_pools())
+    return _near_matrix(draw, n, pool), _near_matrix(draw, n, pool)
 
 
 def matrix_pairs(max_order=3):

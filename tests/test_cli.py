@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cutchains.cli import main
+from cutchains.cli import MAX_INPUT_BYTES, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -269,6 +269,34 @@ class TestMatrixCommands:
             assert code == 4 and out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["classify", "signature"])
+    def test_input_over_size_limit_refused(self, capsys, tmp_path, command):
+        at_limit = tmp_path / "at_limit.txt"
+        at_limit.write_text("0.5" + " " * (MAX_INPUT_BYTES - 4) + "\n")
+        code, out, _ = run_cli(capsys, command, "--input", str(at_limit))
+        assert code == 0 and '"k": 1' in out
+        sparse = tmp_path / "sparse.txt"
+        with open(sparse, "wb") as handle:
+            handle.truncate(MAX_INPUT_BYTES + 1)
+        # a valid matrix one byte past the limit in fewer characters: the
+        # no-break space is whitespace to the parser and two bytes in UTF-8
+        padded = tmp_path / "padded.txt"
+        padded.write_text("0.5 " + "\u00a0" * ((MAX_INPUT_BYTES - 4) // 2) + "\n")
+        for over in (sparse, padded):
+            assert over.stat().st_size == MAX_INPUT_BYTES + 1
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, command, "--input", str(over))
+            assert time.perf_counter() - start < 0.5
+            assert code == 4 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"{MAX_INPUT_BYTES}-byte limit" in err
+
+    @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
+    def test_unbounded_stream_refused(self, capsys):
+        code, out, err = run_cli(capsys, "signature", "--input", "/dev/zero")
+        assert code == 4 and out == ""
+        assert "byte limit" in err and err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "signature", "--input", "/nonexistent/x.txt")
         assert code == 4
@@ -319,6 +347,46 @@ class TestMatrixCommands:
             capsys, "signature", "--input", path, "--input-format", "json"
         )
         assert code == 0 and json.loads(out)["k"] == 1
+
+
+class TestGoldenBytes:
+    """classify and signature output on a small fixed corpus, byte for byte."""
+
+    CLASSIFY = (DATA / "golden_classify.json").read_text()
+
+    @staticmethod
+    def blocks():
+        return (DATA / "golden_corpus.txt").read_text().split("\n\n")
+
+    @pytest.mark.parametrize("name", ["golden_corpus.txt", "golden_corpus.json"])
+    def test_classify(self, capsys, tmp_path, name):
+        code, out, _ = run_cli(capsys, "classify", "--input", str(DATA / name))
+        assert code == 0 and out == self.CLASSIFY
+        target = tmp_path / "classes.json"
+        code, out, _ = run_cli(
+            capsys, "classify", "--input", str(DATA / name), "--output", str(target)
+        )
+        assert code == 0 and out == "" and target.read_text() == self.CLASSIFY
+
+    def test_signature(self, capsys, tmp_path):
+        outputs = []
+        for i, block in enumerate(self.blocks()):
+            path = tmp_path / f"m{i}.txt"
+            path.write_text(block.strip() + "\n")
+            code, out, _ = run_cli(capsys, "signature", "--input", str(path))
+            assert code == 0
+            outputs.append(out)
+        assert "".join(outputs) == (DATA / "golden_signatures.json").read_text()
+
+    def test_equivalent(self, capsys, tmp_path):
+        paths = []
+        for i, block in enumerate(self.blocks()):
+            paths.append(tmp_path / f"m{i}.txt")
+            paths[-1].write_text(block)
+        # blocks 5 and 6 swap 1/3 and a value that shares its float
+        for a, b, want in ((0, 1, 0), (5, 6, 1), (7, 8, 0), (0, 4, 1), (2, 9, 1)):
+            code, out, _ = run_cli(capsys, "equivalent", str(paths[a]), str(paths[b]))
+            assert (code, out) == (want, ["equivalent\n", "inequivalent\n"][want])
 
 
 class TestLattice:

@@ -2,17 +2,24 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 import cutchains as cc
 from cutchains import CrispMatrix, FuzzyMatrix
+from cutchains import cuts
 from helpers import (
     equivalent_pairwise,
     fuzzy_matrices,
     grid_matrices,
     grid_values,
+    levels_and_cuts_oracle,
     matrix_pairs,
+    near_matrices,
+    near_matrix_pairs,
     order_preserving_remap,
+    rank_pattern_oracle,
+    shares_a_float,
 )
 
 F = Fraction
@@ -151,6 +158,14 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             cc.CutChain(1, (F(1),), (o, j))  # length mismatch
 
+    def test_level_range_message(self):
+        o, j = CrispMatrix.zeros(1), CrispMatrix.ones(1)
+        with pytest.raises(ValueError, match=r"^level 0 outside \(0, 1\]$"):
+            cc.CutChain(1, (F(1), F(0)), (o, j))
+        with pytest.raises(ValueError, match=r"^level 3/2 outside \(0, 1\]$"):
+            cc.CutChain(1, ("3/2",), (j,))
+        assert cc.CutChain(1, (1, "1/2"), (o, j)).levels == (F(1), F(1, 2))
+
     def test_cut_orders_must_match_chain_order(self):
         with pytest.raises(ValueError):
             cc.CutChain(2, (F(1),), (CrispMatrix.zeros(1),))
@@ -261,6 +276,13 @@ class TestClassification:
         keys = [(k.signature.k, tuple(c.bits for c in k.signature.cuts)) for k in result.classes]
         assert keys == sorted(keys)
 
+    def test_every_member_is_rechecked(self, monkeypatch):
+        # a signature that lumps [[1]] in with [[0.5]]: only the re-check can see it
+        shared = cc.signature(M(["0.5"]))
+        monkeypatch.setattr(cuts, "signature", lambda f: shared)
+        with pytest.raises(RuntimeError, match="classification disagreement on corpus index 1"):
+            cc.classify_corpus([M(["0.5"]), M(["1"])])
+
     def test_rejects_empty_and_mixed(self):
         with pytest.raises(ValueError):
             cc.classify_corpus([])
@@ -282,6 +304,65 @@ class TestClassification:
                 "members": [0, 1],
             }
         ]
+
+
+# 1/3 and a value 1/(3*10^40) above it convert to the same float.
+THIRD = F(1, 3)
+NEAR_THIRD = F(10**40 + 1, 3 * 10**40)
+
+any_matrices = st.one_of(fuzzy_matrices(), near_matrices())
+
+
+def triples(pattern):
+    """The per-cell (rank, == 0, == 1) form of a _rank_pattern."""
+    return [(r, r == pattern.zero, r == pattern.one) for r in pattern.ranks]
+
+
+class TestIntegerKeysAgainstFractionOracles:
+    def test_near_matrices_reach_float_ties(self):
+        # find raises unless some draw has two interior values that share a float
+        find(
+            near_matrices(),
+            lambda f: shares_a_float(f) and cc.k_level(f) >= 2,
+            settings=settings(phases=[Phase.generate], database=None),
+        )
+
+    def test_values_sharing_a_float_stay_ordered(self):
+        assert float(THIRD) == float(NEAR_THIRD) and THIRD < NEAR_THIRD
+        a = M([THIRD, NEAR_THIRD], [0, 1])
+        b = M([NEAR_THIRD, THIRD], [0, 1])
+        assert [c.bits for c in cc.signature(a).cuts] == ["0001", "0101", "1101"]
+        assert [c.bits for c in cc.signature(b).cuts] == ["0001", "1001", "1101"]
+        assert cc.cut_chain(a).levels == (F(1), NEAR_THIRD, THIRD)
+        assert not cc.equivalent_direct(a, b)
+        assert not cc.equivalent_cuts(a, b)
+        assert not equivalent_pairwise(a, b)
+        assert cc.k_level(a) == 2
+
+    @given(any_matrices)
+    def test_signature_and_cut_chain(self, f):
+        levels, chain_cuts = levels_and_cuts_oracle(f)
+        assert cc.signature(f).cuts == chain_cuts
+        chain = cc.cut_chain(f)
+        assert chain.levels == levels and chain.cuts == chain_cuts
+
+    @given(any_matrices)
+    def test_rank_pattern_and_k_level(self, f):
+        assert triples(cuts._rank_pattern(f)) == rank_pattern_oracle(f)
+        assert cc.k_level(f) == len({v for v in f.values() if 0 < v < 1})
+
+    @given(st.one_of(matrix_pairs(max_order=2), near_matrix_pairs()))
+    def test_equivalence(self, pair):
+        a, b = pair
+        oracle = rank_pattern_oracle(a) == rank_pattern_oracle(b)
+        assert cc.equivalent_direct(a, b) == oracle == equivalent_pairwise(a, b)
+        assert cc.equivalent_cuts(a, b) == oracle
+
+    @given(near_matrices())
+    def test_remap_is_equivalent(self, f):
+        g = order_preserving_remap(f)
+        assert cc.equivalent_direct(f, g) and equivalent_pairwise(f, g)
+        assert cc.signature(f) == cc.signature(g)
 
 
 class TestCrossModuleAgainstEnumeration:
