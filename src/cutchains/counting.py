@@ -16,14 +16,16 @@ provided and must always agree:
 instrumented_chain_counts keeps the plain depth-first search over every size
 vector as the oracle for the table at small m.
 
-All arithmetic is exact arbitrary-precision integer arithmetic.
+All arithmetic is exact arbitrary-precision integer arithmetic.  Binomials
+come from math.comb, and no table outlives the call that builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
+from operator import add
 from typing import Iterator, Literal
 
 __all__ = [
@@ -47,27 +49,13 @@ __all__ = [
 
 Root = Literal["O", "J"]
 
-# Pascal rows, grown monotonically and shared process-wide.
-_pascal_rows: list[list[int]] = [[1]]
-
-
-def _pascal(m: int) -> list[list[int]]:
-    while len(_pascal_rows) <= m:
-        prev = _pascal_rows[-1]
-        row = [1]
-        row.extend(prev[i] + prev[i + 1] for i in range(len(prev) - 1))
-        row.append(1)
-        _pascal_rows.append(row)
-    return _pascal_rows
-
-
 def binomial(a: int, b: int) -> int:
     """Binomial coefficient C(a, b), with C(a, b) = 0 for b < 0 or b > a."""
     if a < 0:
         raise ValueError(f"binomial requires a >= 0, got {a}")
     if b < 0 or b > a:
         return 0
-    return _pascal(a)[a][b]
+    return comb(a, b)
 
 
 def _check_root(root: str) -> str:
@@ -152,22 +140,21 @@ def _nested_table(m: int, k: int) -> list[list[int]]:
     J-rooted ones: complementing every support reverses a chain and maps one
     set onto the other.
     """
-    rows = _pascal(m)
     table: list[list[int]] = []
+    row = [1]  # Pascal row r, advanced by Pascal's rule
     for r in range(m + 1):
-        row = rows[r]
         w = [1]
         for j in range(1, k + 1):
             # each later step must add at least one cell, so leave j-1 behind
             w.append(sum(row[d] * table[r - d][j - 1] for d in range(1, r - j + 2)))
         table.append(w)
+        row = [1, *map(add, row, row[1:]), 1]
     return table
 
 
 def _sum_over_first(m: int, k: int, table: list[list[int]]) -> int:
     """Sum over every first component size s_0 of C(m, s_0) * W[m - s_0][k]."""
-    row_m = _pascal(m)[m]
-    return sum(row_m[s0] * table[m - s0][k] for s0 in range(m - k + 1))
+    return sum(comb(m, s0) * table[m - s0][k] for s0 in range(m - k + 1))
 
 
 def chain_count(m: int, k: int) -> int:
@@ -204,24 +191,22 @@ def instrumented_chain_counts(m: int) -> tuple[list[int], int]:
     _check_cells(m)
     totals = [0] * (m + 1)
     visited = 0
-    rows = _pascal(m)
 
     def descend(remaining: int, depth: int, prod: int) -> None:
         nonlocal visited
-        row = rows[remaining]
         for d in range(1, remaining + 1):
-            p = prod * row[d]
+            p = prod * comb(remaining, d)
             totals[depth] += p
             visited += 1
             if d < remaining:
                 descend(remaining - d, depth + 1, p)
 
-    row_m = rows[m]
     for s0 in range(m + 1):
-        totals[0] += row_m[s0]
+        first = comb(m, s0)
+        totals[0] += first
         visited += 1
         if s0 < m:
-            descend(m - s0, 1, row_m[s0])
+            descend(m - s0, 1, first)
     return totals, visited
 
 
@@ -244,10 +229,11 @@ def chain_count_ie(m: int, k: int, root: Root | None = None) -> int:
     if k < 0 or k > m:
         return 0
     slots = k + 2 if root is None else k + 1
-    total = 0
+    total, c = 0, 1  # c = C(k, i), by a running product
     for i in range(k + 1):
-        term = binomial(k, i) * (slots - i) ** m
+        term = c * (slots - i) ** m
         total += -term if i % 2 else term
+        c = c * (k - i) // (i + 1)
     return total
 
 

@@ -46,15 +46,21 @@ class InfeasibleJobError(Exception):
 
 
 def _resolve_ceiling(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(CEILING_ENV_VAR)
-    if env is not None:
+    """The explicit ceiling, else the environment's, else the default; never negative."""
+    value = explicit
+    if value is None:
+        env = os.environ.get(CEILING_ENV_VAR)
+        if env is None:
+            return DEFAULT_CHAIN_CEILING
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise ValueError(f"{CEILING_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_CHAIN_CEILING
+    if value < 0:
+        # a usage error, not a job refused for its size
+        source = "the chain ceiling" if explicit is not None else CEILING_ENV_VAR
+        raise ValueError(f"{source} must be nonnegative, got {value}")
+    return value
 
 
 def support_label(mask: int, m: int) -> str:
@@ -104,8 +110,8 @@ def _check_job(m: int, k: int, root: str | None, ceiling: int | None) -> int:
         raise ValueError(f"cell count must be nonnegative, got {m}")
     if root not in (None, "O", "J"):
         raise ValueError(f'root must be "O" or "J", got {root!r}')
-    projected = chain_count_ie(m, k, root)
     limit = _resolve_ceiling(ceiling)
+    projected = chain_count_ie(m, k, root)
     if projected > limit:
         # past a 64-bit count, the digits make a long line or exceed what str() prints
         bits = projected.bit_length()

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from cutchains.cli import MAX_INPUT_BYTES, main
+import cutchains
+from cutchains.cli import MAX_INPUT_BYTES, _json_array_chunks, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -191,6 +193,11 @@ class TestEnumerate:
         monkeypatch.setenv("CUTCHAINS_CHAIN_CEILING", "plenty")
         code, _, err = run_cli(capsys, "enumerate", "--m", "2", "--k", "1")
         assert code == 2 and "CUTCHAINS_CHAIN_CEILING" in err
+        # a negative ceiling is a usage error, even for a job of 0 chains
+        monkeypatch.setenv("CUTCHAINS_CHAIN_CEILING", "-5")
+        code, out, err = run_cli(capsys, "enumerate", "--m", "2", "--k", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("error: CUTCHAINS_CHAIN_CEILING") and err.count("\n") == 1
 
     def test_infeasible_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--m", "4", "--k", "2", "--ceiling", "5")
@@ -368,6 +375,12 @@ class TestGoldenBytes:
         )
         assert code == 0 and out == "" and target.read_text() == self.CLASSIFY
 
+    @pytest.mark.parametrize("items", [[], [{}], [{"a": [1, {"b": []}]}, "x\ny", [[]]]])
+    def test_streamed_report_matches_json_dumps(self, items):
+        chunks = list(_json_array_chunks(items))
+        assert len(chunks) == len(items) + 1
+        assert "".join(chunks) == json.dumps(items, indent=2) + "\n"
+
     def test_signature(self, capsys, tmp_path):
         outputs = []
         for i, block in enumerate(self.blocks()):
@@ -450,10 +463,14 @@ class TestUsageErrors:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the same package as this process, installed or not
+        package_root = str(Path(cutchains.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "cutchains", "count", "--n", "1"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert result.stdout == "3\n"

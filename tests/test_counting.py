@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -202,6 +203,17 @@ class TestInclusionExclusion:
     def test_bad_root(self):
         with pytest.raises(ValueError):
             cc.chain_count_ie(4, 1, "X")
+
+    def test_memory_bounded_without_binomial_table(self):
+        # k+1 terms need O(1) binomials at a time, not Pascal rows up to k
+        tracemalloc.start()
+        try:
+            value = cc.chain_count_ie(1000, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == math.factorial(1000)  # maximal chains: one cell enters per step
+        assert peak < 2**20
 
     @pytest.mark.parametrize("root", [None, "O", "J"])
     def test_difference_row_matches_per_k_sums(self, root):

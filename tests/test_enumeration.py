@@ -140,6 +140,17 @@ class TestFeasibilityCeiling:
         with pytest.raises(ValueError):
             cc.count_chains(4, 2)
 
+    def test_negative_ceiling_is_value_error(self, monkeypatch):
+        # not a refused job: even an empty job (k > m) is rejected
+        with pytest.raises(ValueError, match="nonnegative"):
+            cc.count_chains(2, 1, ceiling=-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            cc.count_chains(2, 5, ceiling=-1)
+        monkeypatch.setenv("CUTCHAINS_CHAIN_CEILING", "-5")
+        with pytest.raises(ValueError, match="CUTCHAINS_CHAIN_CEILING"):
+            cc.chain_lines(2, 1)
+        assert cc.count_chains(2, 1, ceiling=5) == 5  # an explicit ceiling overrides it
+
     def test_large_job_refused_by_default(self):
         # 3^20 - 2^20 chains is far beyond the default ceiling
         with pytest.raises(InfeasibleJobError):
