@@ -31,6 +31,11 @@ EXIT_MALFORMED = 4
 # 240 MiB peak RSS (Python 3.11, one process).
 MAX_INPUT_BYTES = 4 * 2**20
 
+# Largest cell count (n = 16) counted by nested summation, whose table is O(m^3)
+# big-int operations: `count --n 16 --method naive` takes about 1.7 s and
+# `--n 22` about 24 s (Python 3.11, one process).
+NAIVE_MAX_CELLS = 256
+
 
 class MalformedInputError(Exception):
     pass
@@ -120,8 +125,10 @@ def _load_corpus(path: str, fmt: str) -> list[FuzzyMatrix]:
     return _read_input(path, fmt, "corpus", _corpus_from_json, _corpus_from_text)
 
 
-def _check_printable(m: int, k: int | None = None, root: str | None = None) -> None:
-    """Refuse, before counting, a job whose output may be too long for str().
+def _check_count_job(m: int, method: str, k: int | None = None, root: str | None = None) -> None:
+    """Refuse, before counting, a job too slow to count or too long to print.
+
+    Nested summation is refused above NAIVE_MAX_CELLS.
 
     The interpreter converts at most sys.get_int_max_str_digits() digits (0 for
     no limit).  Counts are bounded without computing them: a chain of length k
@@ -129,6 +136,10 @@ def _check_printable(m: int, k: int | None = None, root: str | None = None) -> N
     most (k+2)^m of them, and the total over every k is at most 4*Fubini(m),
     where Fubini(m) = sum_j j^m / 2^(j+1) < m!/ln(2)^(m+1).
     """
+    if counting._pick_method(method) == "naive" and m > NAIVE_MAX_CELLS:
+        raise InfeasibleJobError(
+            f"nested summation over m={m} cells is above its limit of {NAIVE_MAX_CELLS} cells"
+        )
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit or (k is not None and not 0 <= k <= m):
         return
@@ -146,7 +157,7 @@ def _check_printable(m: int, k: int | None = None, root: str | None = None) -> N
 
 def _cmd_count(args) -> int:
     m = args.n * args.n
-    _check_printable(m, args.k, args.root)
+    _check_count_job(m, args.method, args.k, args.root)
     if args.k is None:
         if args.root is None:
             value = counting.total_count(args.n, method=args.method)
@@ -163,7 +174,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    _check_printable(args.max_n * args.max_n)
+    _check_count_job(args.max_n * args.max_n, args.method)
     table = counting.count_table(args.max_n, root=args.root, method=args.method)
     if args.format == "csv":
         _emit(table.to_csv(), args.output)
@@ -173,7 +184,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    _check_printable(args.max_n * args.max_n)
+    _check_count_job(args.max_n * args.max_n, args.method)
     pairs = counting.sequence(args.max_n, method=args.method)
     if args.b_file:
         text = "".join(f"{n} {value}\n" for n, value in pairs)
@@ -184,6 +195,10 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.list and args.group_by_sizes:
+        raise ValueError("--list and --group-by-sizes cannot be combined")
+    if args.labels and not args.list:
+        raise ValueError("--labels applies only to --list")
     if args.list:
         lines = enumeration.chain_lines(
             args.m, args.k, args.root, labeled=args.labels, ceiling=args.ceiling
@@ -244,7 +259,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _check_printable(args.n * args.n)
+    _check_count_job(args.n * args.n, "naive")
     start = time.perf_counter()
     naive = counting.total_count(args.n, method="naive")
     naive_seconds = time.perf_counter() - start
@@ -300,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="print one chain per line")
     p.add_argument("--labels", action="store_true", help="label components A_s^{cells}")
     p.add_argument("--group-by-sizes", action="store_true")
-    p.add_argument("--ceiling", type=_nonneg, default=None, help="max projected chains")
+    ceiling = enumeration.DEFAULT_CHAIN_CEILING
+    p.add_argument("--ceiling", type=_nonneg, default=ceiling, help="max projected chains")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("classify", help="partition a fuzzy-matrix corpus into classes")
     p.add_argument("--input", required=True)
     p.add_argument("--input-format", choices=["auto", "text", "json"], default="auto")
-    p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_classify)
 
@@ -348,7 +363,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except ValueError as exc:
-        # e.g. a malformed ceiling environment variable or an unwritable --output
+        # e.g. conflicting enumerate flags or an unwritable --output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -336,8 +336,8 @@ class CountTable:
     def to_csv(self) -> str:
         lines = ["n,k,f_nk,f_n"]
         for row in self.rows:
-            for k, value in enumerate(row.counts):
-                lines.append(f"{row.n},{k},{value},{row.total}")
+            total = f",{row.total}"  # one decimal conversion per row, not per k
+            lines.extend(f"{row.n},{k},{value}{total}" for k, value in enumerate(row.counts))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:

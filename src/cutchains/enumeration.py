@@ -4,15 +4,14 @@ Supports over m cells are bitmasks in CrispMatrix's bit order (bit m-1-p holds
 cell p+1), so numeric order on masks is lexicographic order on the bitstrings.
 Chains are emitted by one serial walker that recurses on the next strictly
 larger support, pruning branches that cannot reach the requested length.  Each
-job is pre-sized with the closed-form count (rooted or not) and refused above a
-configurable ceiling before its first chain is drawn; enumerate_chains,
+job is pre-sized with the closed-form count (rooted or not) and refused above the
+caller's chain ceiling before its first chain is drawn; enumerate_chains,
 count_chains, group_by_size_vector and chain_lines each consume that one
 checked stream, so a listing streams in constant memory.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -21,7 +20,6 @@ from .counting import chain_count_ie
 from .matrices import mask_to_bits
 
 __all__ = [
-    "CEILING_ENV_VAR",
     "ChainRecord",
     "DEFAULT_CHAIN_CEILING",
     "DEFAULT_SUPPORT_CAP",
@@ -38,29 +36,10 @@ __all__ = [
 
 DEFAULT_SUPPORT_CAP = 16
 DEFAULT_CHAIN_CEILING = 10**7
-CEILING_ENV_VAR = "CUTCHAINS_CHAIN_CEILING"
 
 
 class InfeasibleJobError(Exception):
-    """Raised when a job's projected size exceeds the configured ceiling."""
-
-
-def _resolve_ceiling(explicit: int | None) -> int:
-    """The explicit ceiling, else the environment's, else the default; never negative."""
-    value = explicit
-    if value is None:
-        env = os.environ.get(CEILING_ENV_VAR)
-        if env is None:
-            return DEFAULT_CHAIN_CEILING
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValueError(f"{CEILING_ENV_VAR} must be an integer, got {env!r}") from exc
-    if value < 0:
-        # a usage error, not a job refused for its size
-        source = "the chain ceiling" if explicit is not None else CEILING_ENV_VAR
-        raise ValueError(f"{source} must be nonnegative, got {value}")
-    return value
+    """Raised when a job's projected size exceeds its ceiling."""
 
 
 def support_label(mask: int, m: int) -> str:
@@ -74,12 +53,14 @@ def support_label(mask: int, m: int) -> str:
     return f"A_{size}^{{{','.join(cells)}}}"
 
 
-def enumerate_supports(m: int, *, cap: int = DEFAULT_SUPPORT_CAP) -> Iterator[int]:
-    """All 2^m support masks in lexicographic bitstring order."""
+def enumerate_supports(m: int) -> Iterator[int]:
+    """All 2^m support masks in lexicographic bitstring order; m is at most DEFAULT_SUPPORT_CAP."""
     if m < 0:
         raise ValueError(f"cell count must be nonnegative, got {m}")
-    if m > cap:
-        raise InfeasibleJobError(f"{m} cells means 2^{m} supports; the cap is {cap}")
+    if m > DEFAULT_SUPPORT_CAP:
+        raise InfeasibleJobError(
+            f"{m} cells means 2^{m} supports; the cap is {DEFAULT_SUPPORT_CAP}"
+        )
     return iter(range(1 << m))
 
 
@@ -105,21 +86,22 @@ class ChainRecord:
         return " < ".join(parts)
 
 
-def _check_job(m: int, k: int, root: str | None, ceiling: int | None) -> int:
+def _check_job(m: int, k: int, root: str | None, ceiling: int) -> None:
     if m < 0:
         raise ValueError(f"cell count must be nonnegative, got {m}")
     if root not in (None, "O", "J"):
         raise ValueError(f'root must be "O" or "J", got {root!r}')
-    limit = _resolve_ceiling(ceiling)
+    if ceiling < 0:
+        # a usage error, not a job refused for its size
+        raise ValueError(f"the chain ceiling must be nonnegative, got {ceiling}")
     projected = chain_count_ie(m, k, root)
-    if projected > limit:
+    if projected > ceiling:
         # past a 64-bit count, the digits make a long line or exceed what str() prints
         bits = projected.bit_length()
         size = f"{projected}" if bits <= 64 else f"at least 2^{bits - 1}"
         raise InfeasibleJobError(
-            f"projected {size} chains for m={m}, k={k} exceeds the ceiling {limit}"
+            f"projected {size} chains for m={m}, k={k} exceeds the ceiling {ceiling}"
         )
-    return projected
 
 
 def _chain_tuples(m: int, k: int, root: str | None) -> Iterator[tuple[int, ...]]:
@@ -156,7 +138,7 @@ def _chain_tuples(m: int, k: int, root: str | None) -> Iterator[tuple[int, ...]]
 
 
 def _checked_tuples(
-    m: int, k: int, root: str | None, ceiling: int | None
+    m: int, k: int, root: str | None, ceiling: int
 ) -> Iterator[tuple[int, ...]]:
     """Refuse an oversized job at the call, then stream its chains' component masks."""
     _check_job(m, k, root, ceiling)
@@ -170,7 +152,7 @@ def enumerate_chains(
     k: int,
     root: str | None = None,
     *,
-    ceiling: int | None = None,
+    ceiling: int = DEFAULT_CHAIN_CEILING,
 ) -> Iterator[ChainRecord]:
     """Every strict chain of k+1 supports exactly once, in lexicographic order."""
     return (ChainRecord(m, t) for t in _checked_tuples(m, k, root, ceiling))
@@ -181,7 +163,7 @@ def count_chains(
     k: int,
     root: str | None = None,
     *,
-    ceiling: int | None = None,
+    ceiling: int = DEFAULT_CHAIN_CEILING,
 ) -> int:
     """Count chains by actually enumerating them (no closed form involved)."""
     return sum(1 for _ in _checked_tuples(m, k, root, ceiling))
@@ -192,7 +174,7 @@ def group_by_size_vector(
     k: int,
     root: str | None = None,
     *,
-    ceiling: int | None = None,
+    ceiling: int = DEFAULT_CHAIN_CEILING,
 ) -> dict[tuple[int, ...], int]:
     """Chain counts partitioned by size vector, in ascending size-vector order."""
     grouped = Counter(
@@ -207,7 +189,7 @@ def chain_lines(
     root: str | None = None,
     *,
     labeled: bool = False,
-    ceiling: int | None = None,
+    ceiling: int = DEFAULT_CHAIN_CEILING,
 ) -> Iterator[str]:
     """Chain listing lines, one per chain, in enumeration order."""
     return (
@@ -248,9 +230,9 @@ class HasseDiagram:
         }
 
 
-def hasse_export(m: int, *, cap: int = DEFAULT_SUPPORT_CAP) -> HasseDiagram:
+def hasse_export(m: int) -> HasseDiagram:
     """Covering-relation graph over all supports of m cells."""
-    nodes = tuple(enumerate_supports(m, cap=cap))
+    nodes = tuple(enumerate_supports(m))
     edges = []
     for node in nodes:
         # iterate absent cells in cell order (bit m-1 is cell 1)

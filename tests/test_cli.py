@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cutchains
-from cutchains.cli import MAX_INPUT_BYTES, _json_array_chunks, main
+from cutchains.cli import MAX_INPUT_BYTES, NAIVE_MAX_CELLS, _json_array_chunks, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -110,6 +110,31 @@ class TestPrintLimit:
         assert run_cli(capsys, "count", "--n", "18")[0] == 3
 
 
+class TestNaiveLimit:
+    """Nested summation is refused above NAIVE_MAX_CELLS cells (n = 16) before counting."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--n", "17", "--method", "naive"],
+            ["table", "--max-n", "17", "--method", "naive"],
+            ["sequence", "--max-n", "17", "--method", "naive"],
+            ["bench", "--n", "17"],
+        ],
+    )
+    def test_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 3 and out == ""
+        assert err.startswith("infeasible job:") and err.count("\n") == 1
+
+    def test_largest_naive_count_served(self, capsys):
+        assert NAIVE_MAX_CELLS == 16 * 16
+        _, ie, _ = run_cli(capsys, "count", "--n", "16", "--method", "ie")
+        assert run_cli(capsys, "count", "--n", "16", "--method", "naive") == (0, ie, "")
+
+
 class TestTable:
     def test_csv_matches_golden(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--max-n", "3")
@@ -189,15 +214,24 @@ class TestEnumerate:
         )
         assert code == 0 and out == "0,1: 4\n0,2: 6\n0,3: 4\n0,4: 1\n"
 
-    def test_bad_ceiling_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUTCHAINS_CHAIN_CEILING", "plenty")
-        code, _, err = run_cli(capsys, "enumerate", "--m", "2", "--k", "1")
-        assert code == 2 and "CUTCHAINS_CHAIN_CEILING" in err
-        # a negative ceiling is a usage error, even for a job of 0 chains
-        monkeypatch.setenv("CUTCHAINS_CHAIN_CEILING", "-5")
-        code, out, err = run_cli(capsys, "enumerate", "--m", "2", "--k", "5")
+    def test_ceiling_env_is_not_read(self, capsys, monkeypatch):
+        argv = ["enumerate", "--m", "4", "--k", "2"]
+        for value in ("10", "-5", "plenty"):
+            monkeypatch.setenv("CUTCHAINS_CHAIN_CEILING", value)
+            assert run_cli(capsys, *argv) == (0, "110\n", "")
+            code, out, err = run_cli(capsys, *argv, "--ceiling", "10")
+            assert code == 3 and out == "" and err.count("\n") == 1 and "110" in err
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--ceiling", "-5"])
+            assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "flags", [["--list", "--group-by-sizes"], ["--labels"], ["--labels", "--group-by-sizes"]]
+    )
+    def test_conflicting_flags_are_usage_errors(self, capsys, flags):
+        code, out, err = run_cli(capsys, "enumerate", "--m", "2", "--k", "1", *flags)
         assert code == 2 and out == ""
-        assert err.startswith("error: CUTCHAINS_CHAIN_CEILING") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_infeasible_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--m", "4", "--k", "2", "--ceiling", "5")
@@ -458,6 +492,11 @@ class TestUsageErrors:
     def test_bad_choice(self):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--n", "2", "--root", "Q"])
+        assert exc.value.code == 2
+
+    def test_classify_has_no_format_option(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--input", "corpus.json", "--format", "json"])
         assert exc.value.code == 2
 
 

@@ -12,11 +12,11 @@ import json
 import time
 from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cutchains import FuzzyMatrix, parse_value
-from cutchains.cli import EXIT_MALFORMED, main
+from cutchains.cli import EXIT_INFEASIBLE, EXIT_MALFORMED, EXIT_USAGE, main
 
 # Generous for the tiny inputs drawn here; an unbounded parse takes far longer.
 WALL_BOUND_S = 2.0
@@ -88,17 +88,22 @@ def test_from_json_dict_raises_only_documented_errors(data):
     assert isinstance(matrix, FuzzyMatrix)
 
 
-def _run(argv):
+def _run(argv, allowed=(0, 1, EXIT_MALFORMED), wall_bound_s=WALL_BOUND_S):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the arguments themselves
+            code = exc.code
     elapsed = time.perf_counter() - start
-    assert elapsed < WALL_BOUND_S, f"{argv} took {elapsed:.2f}s"
-    assert code in (0, 1, EXIT_MALFORMED), (argv, code, err.getvalue())
+    assert elapsed < wall_bound_s, f"{argv} took {elapsed:.2f}s"
+    assert code in allowed, (argv, code, err.getvalue())
+    lines = err.getvalue().splitlines()
     if code == EXIT_MALFORMED:
-        lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    if code == EXIT_INFEASIBLE:
+        assert len(lines) == 1 and lines[0].startswith("infeasible job: "), lines
 
 
 @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -115,3 +120,112 @@ def test_cli_on_arbitrary_files_ends_in_documented_exit(tmp_path, first, second)
         _run(["classify", "--input", a])
         _run(["signature", "--input", a])
         _run(["equivalent", a, b])
+
+
+# Integer arguments for the commands that read no file.  Each drawn job is
+# refused before any work (exit 3), rejected as a usage error (exit 2), or
+# accepted and cheap: nested summation to n = 8, or to n = 16 for k <= 3;
+# counting tables to n = 20; enumeration under a ceiling of at most 10^5
+# chains.  The explicit examples sit on both sides of each refusal boundary;
+# the slowest of them, `lattice --m 16`, takes about 1.5 s.
+INTEGER_WALL_BOUND_S = 5.0
+INTEGER_EXIT_CODES = (0, EXIT_USAGE, EXIT_INFEASIBLE)
+
+
+def _arg(flag, values):
+    return values.map(lambda v: [flag, str(v)])
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), _arg(flag, values))
+
+
+def _cat(*parts):
+    """One argv: the words of each drawn part, in order."""
+    return st.tuples(*parts).map(lambda drawn: [word for part in drawn for word in part])
+
+
+roots = st.sampled_from([[], ["--root", "O"], ["--root", "J"]])
+naive = st.just(["--method", "naive"])
+fast = st.sampled_from([[], ["--method", "auto"], ["--method", "ie"]])
+any_method = st.one_of(naive, fast)
+huge = st.integers(39, 10**4)
+
+count_argv = st.one_of(
+    _cat(st.just(["count"]), _arg("--n", st.integers(-2, 8)), _opt("--k", st.integers(-3, 70)),
+         roots, any_method),
+    # nested summation is refused from n = 17, whatever k
+    _cat(st.just(["count"]), _arg("--n", st.integers(14, 18)), _arg("--k", st.integers(-2, 3)),
+         roots, naive),
+    # the digit limit: k = m is printable at n = 38, not at n = 39
+    st.integers(35, 41).flatmap(
+        lambda n: _cat(st.just(["count", "--n", str(n)]),
+                       _arg("--k", st.integers(n * n - 2, n * n + 1)), roots, fast)
+    ),
+    _cat(st.just(["count"]), _arg("--n", huge), _opt("--k", st.integers(-2, 3)), roots,
+         any_method),
+)
+
+
+def _max_n(command):
+    def sized(values, methods):
+        return _cat(st.just([command]), _arg("--max-n", values), methods)
+
+    return st.one_of(
+        sized(st.integers(-2, 9), any_method),
+        sized(st.integers(10, 20), fast),
+        sized(st.integers(17, 10**4), naive),
+        sized(huge, fast),
+    )
+
+
+table_argv = st.one_of(
+    _cat(_max_n("table"), roots, st.sampled_from([[], ["--format", "json"]])),
+    _cat(_max_n("sequence"), st.sampled_from([[], ["--b-file"]])),
+)
+# mostly orders small enough to enumerate, the rest up to where refusal takes 0.3 s
+cells = st.one_of(st.integers(-3, 12), st.integers(-3, 2000))
+enumerate_argv = _cat(
+    st.just(["enumerate"]), _arg("--m", cells), _arg("--k", cells), roots,
+    st.sets(st.sampled_from(["--list", "--labels", "--group-by-sizes"])).map(sorted),
+    _arg("--ceiling", st.integers(-3, 10**5)),
+)
+lattice_argv = _cat(
+    st.just(["lattice"]), _arg("--m", st.one_of(st.integers(-3, 12), st.integers(17, 10**6))),
+    st.sampled_from([[], ["--format", "dot"], ["--format", "json"]]),
+)
+
+
+@settings(max_examples=60)
+@given(count_argv)
+@example(["count", "--n", "16", "--k", "1", "--method", "naive"])
+@example(["count", "--n", "17", "--k", "1", "--method", "naive"])
+@example(["count", "--n", "38", "--k", "1444"])
+@example(["count", "--n", "39", "--k", "1521"])
+def test_count_on_integer_arguments(argv):
+    _run(argv, INTEGER_EXIT_CODES, INTEGER_WALL_BOUND_S)
+
+
+@settings(max_examples=25)
+@given(table_argv)
+@example(["table", "--max-n", "17", "--method", "naive"])
+@example(["sequence", "--max-n", "39"])
+def test_table_and_sequence_on_integer_arguments(argv):
+    _run(argv, INTEGER_EXIT_CODES, INTEGER_WALL_BOUND_S)
+
+
+@settings(max_examples=40)
+@given(enumerate_argv)
+@example(["enumerate", "--m", "2000", "--k", "2000", "--ceiling", "100000"])
+@example(["enumerate", "--m", "4", "--k", "2", "--ceiling", "110"])
+@example(["enumerate", "--m", "4", "--k", "2", "--ceiling", "109"])
+def test_enumerate_on_integer_arguments(argv):
+    _run(argv, INTEGER_EXIT_CODES, INTEGER_WALL_BOUND_S)
+
+
+@settings(max_examples=20)
+@given(lattice_argv)
+@example(["lattice", "--m", "16"])
+@example(["lattice", "--m", "17"])
+def test_lattice_on_integer_arguments(argv):
+    _run(argv, INTEGER_EXIT_CODES, INTEGER_WALL_BOUND_S)
