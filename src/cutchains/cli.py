@@ -82,15 +82,19 @@ def _read_input(path: str, fmt: str, what: str, parse_json, parse_text):
         f"{path} is larger than the {MAX_INPUT_BYTES}-byte limit for input files"
     )
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             if os.fstat(handle.fileno()).st_size > MAX_INPUT_BYTES:
                 raise too_large
-            # a pipe or device reports size 0, so the read is bounded as well
-            text = handle.read(MAX_INPUT_BYTES + 1)
+            # a pipe or device reports size 0, so the read is bounded as well, in
+            # bytes: a text-mode read would count characters
+            data = handle.read(MAX_INPUT_BYTES + 1)
+        if len(data) > MAX_INPUT_BYTES:
+            raise too_large
+        # universal newlines, as a text-mode read gives them
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        del data  # not held while the text is parsed
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
-    if len(text) > MAX_INPUT_BYTES:
-        raise too_large
     use_json = fmt == "json" or (fmt == "auto" and path.endswith(".json"))
     try:
         return parse_json(json.loads(text)) if use_json else parse_text(text)

@@ -12,7 +12,7 @@ from math import comb
 
 from hypothesis import strategies as st
 
-from cutchains import CrispMatrix, FuzzyMatrix
+from cutchains import CrispMatrix, FuzzyMatrix, mask_to_bits, support_label
 
 
 def brute_force_chains(m, k, root=None):
@@ -119,6 +119,27 @@ def bits_to_set(bits):
 
 def record_to_sets(record):
     return tuple(bits_to_set(b) for b in record.bitstrings())
+
+
+def hasse_dot_oracle(diagram):
+    """DOT text of a HasseDiagram, formatting both ends of every edge afresh."""
+    m = diagram.cell_count
+    lines = ["digraph support_lattice {", "  rankdir=BT;"]
+    for node in diagram.nodes:
+        lines.append(f'  "{mask_to_bits(node, m)}" [label="{support_label(node, m)}"];')
+    for a, b in diagram.edges:
+        lines.append(f'  "{mask_to_bits(a, m)}" -> "{mask_to_bits(b, m)}";')
+    return "\n".join(lines) + "\n}\n"
+
+
+def hasse_json_oracle(diagram):
+    """JSON dict of a HasseDiagram, formatting both ends of every edge afresh."""
+    m = diagram.cell_count
+    adjacency = {mask_to_bits(n, m): [] for n in diagram.nodes}
+    for a, b in diagram.edges:
+        adjacency[mask_to_bits(a, m)].append(mask_to_bits(b, m))
+    nodes = [{"bits": mask_to_bits(n, m), "label": support_label(n, m)} for n in diagram.nodes]
+    return {"m": m, "nodes": nodes, "adjacency": adjacency}
 
 
 def grid_values(t):

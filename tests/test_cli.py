@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -253,6 +254,18 @@ class TestEnumerate:
         assert code == 0 and out == ""
         assert target.read_bytes() == stdout.encode("utf-8")
 
+    def test_benchmark_listing_matches_records(self, capsys, tmp_path):
+        target = tmp_path / "chains.txt"
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--m", "8", "--k", "2", "--list", "--labels",
+            "--output", str(target),
+        )
+        assert code == 0 and out == ""
+        expected = "".join(
+            r.to_line(labeled=True) + "\n" for r in cutchains.enumerate_chains(8, 2)
+        )
+        assert target.read_bytes() == expected.encode("utf-8")
+
     def test_refused_listing_leaves_no_file(self, capsys, tmp_path):
         target = tmp_path / "chains.txt"
         code, _, _ = run_cli(
@@ -331,6 +344,31 @@ class TestMatrixCommands:
             assert code == 4 and out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
             assert f"{MAX_INPUT_BYTES}-byte limit" in err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_piped_input_bounded_in_bytes(self, capsys, tmp_path):
+        # a valid matrix over the limit in bytes but under it in characters: a
+        # pipe reports no size, so only the bounded read can refuse it
+        payload = ("0.5 " + "\u00a0" * (MAX_INPUT_BYTES // 2 + 10) + "\n").encode("utf-8")
+        assert len(payload) > MAX_INPUT_BYTES > len(payload.decode("utf-8"))
+        fifo = tmp_path / "matrix.txt"
+        os.mkfifo(fifo)
+
+        def feed():
+            try:
+                with open(fifo, "wb") as handle:
+                    handle.write(payload)
+            except BrokenPipeError:  # the reader stops at the limit
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        code, out, err = run_cli(capsys, "signature", "--input", str(fifo))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{MAX_INPUT_BYTES}-byte limit" in err
 
     @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
     def test_unbounded_stream_refused(self, capsys):

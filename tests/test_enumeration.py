@@ -1,8 +1,16 @@
+import tracemalloc
+
 import pytest
 
 import cutchains as cc
-from cutchains import InfeasibleJobError
-from helpers import bits_to_set, brute_force_chains, record_to_sets
+from cutchains import InfeasibleJobError, enumeration
+from helpers import (
+    bits_to_set,
+    brute_force_chains,
+    hasse_dot_oracle,
+    hasse_json_oracle,
+    record_to_sets,
+)
 
 
 class TestSupports:
@@ -104,6 +112,45 @@ class TestEnumerateChains:
         # "0001" holds the last row-major cell, so the label superscript is 4
         labeled = next(iter(cc.enumerate_chains(4, 1, "O"))).to_line(labeled=True)
         assert labeled == "A_0 < A_1^{4}"
+
+
+def listing_oracle(m, k, root, labeled):
+    return [r.to_line(labeled=labeled) for r in cc.enumerate_chains(m, k, root)]
+
+
+class TestChainLines:
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("root", [None, "O", "J"])
+    def test_matches_records_small(self, root, labeled):
+        for m in range(6):
+            for k in range(-1, m + 2):
+                got = list(cc.chain_lines(m, k, root, labeled=labeled))
+                assert got == listing_oracle(m, k, root, labeled)
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("m,k,root", [(13, 0, None), (13, 1, "J")])
+    def test_matches_records_past_memo_bound(self, m, k, root, labeled):
+        # 8192 distinct supports, twice what the memo keeps
+        assert 2**m > enumeration.LISTING_MEMO_SIZE
+        got = list(cc.chain_lines(m, k, root, labeled=labeled))
+        assert got == listing_oracle(m, k, root, labeled)
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_evicted_supports_formatted_again(self, monkeypatch, labeled):
+        # a 3-entry memo over 32 supports evicts and re-formats supports all the time
+        monkeypatch.setattr(enumeration, "LISTING_MEMO_SIZE", 3)
+        got = list(cc.chain_lines(5, 2, labeled=labeled))
+        assert got == listing_oracle(5, 2, None, labeled)
+
+    def test_listing_in_constant_memory(self):
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in cc.chain_lines(16, 0, labeled=True))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 2**16
+        assert peak < 4 * 2**20
 
 
 class TestFeasibilityCeiling:
@@ -230,3 +277,20 @@ class TestHasse:
     def test_cap(self):
         with pytest.raises(InfeasibleJobError):
             cc.hasse_export(17)
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_exports_match_per_edge_oracle(self, m):
+        diagram = cc.hasse_export(m)
+        assert diagram.to_dot() == hasse_dot_oracle(diagram)
+        assert diagram.to_json_dict() == hasse_json_oracle(diagram)
+
+    def test_hand_built_diagram(self):
+        # nodes not all of range(2**m), out of order, and an edge to a support
+        # (110) that is not a node
+        diagram = cc.HasseDiagram(3, (0b111, 0b010, 0b000, 0b011), (
+            (0b000, 0b010), (0b010, 0b011), (0b011, 0b111), (0b010, 0b110),
+        ))
+        assert diagram.to_dot() == hasse_dot_oracle(diagram)
+        assert '"010" -> "110";' in diagram.to_dot()
+        assert diagram.to_json_dict() == hasse_json_oracle(diagram)
+        assert diagram.to_json_dict()["adjacency"]["010"] == ["011", "110"]
