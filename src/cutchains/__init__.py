@@ -11,19 +11,16 @@ from .counting import (
     chain_counts_by_k,
     count_table,
     flag_count,
-    instrumented_chain_counts,
     sequence,
     size_vectors,
     term_count,
     total_count,
-    total_count_rooted,
 )
 from .cuts import (
     ChainSignature,
     Classification,
     CutChain,
     EquivalenceClass,
-    Rootedness,
     alpha_cut,
     canonical_representative,
     classify_corpus,
@@ -32,7 +29,6 @@ from .cuts import (
     equivalent_direct,
     k_level,
     reconstruct,
-    rootedness,
     signature,
     strong_alpha_cut,
 )
@@ -53,7 +49,6 @@ from .matrices import (
     FuzzyMatrix,
     bits_to_mask,
     format_value,
-    fuzzy_complement,
     mask_to_bits,
     parse_value,
 )

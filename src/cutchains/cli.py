@@ -1,7 +1,7 @@
 """Command-line interface: counting, enumeration, classification, lattice export.
 
-Exit codes: 0 success (or "equivalent"), 1 inequivalent or failed agreement
-check, 2 usage error, 3 infeasible job, 4 malformed input file.
+Exit codes: 0 success (or "equivalent"), 1 inequivalent, 2 usage error,
+3 infeasible job, 4 malformed input file.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-import time
 from typing import Iterable, Iterator
 
 from . import counting, enumeration
@@ -97,7 +96,8 @@ def _read_input(path: str, fmt: str, what: str, parse_json, parse_text):
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
     use_json = fmt == "json" or (fmt == "auto" and path.endswith(".json"))
     try:
-        return parse_json(json.loads(text)) if use_json else parse_text(text)
+        # a number literal reaches parse_value as its exact text, not as a float
+        return parse_json(json.loads(text, parse_float=str)) if use_json else parse_text(text)
     except (ValueError, TypeError, RecursionError) as exc:  # deep JSON nesting recurses
         raise MalformedInputError(f"malformed {what} file {path}: {exc}") from exc
 
@@ -163,10 +163,7 @@ def _cmd_count(args) -> int:
     m = args.n * args.n
     _check_count_job(m, args.method, args.k, args.root)
     if args.k is None:
-        if args.root is None:
-            value = counting.total_count(args.n, method=args.method)
-        else:
-            value = counting.total_count_rooted(args.n, args.root, method=args.method)
+        value = counting.total_count(args.n, args.root, method=args.method)
     elif counting._pick_method(args.method) == "ie":
         value = counting.chain_count_ie(m, args.k, args.root)
     elif args.root is None:
@@ -262,27 +259,6 @@ def _cmd_lattice(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    _check_count_job(args.n * args.n, "naive")
-    start = time.perf_counter()
-    naive = counting.total_count(args.n, method="naive")
-    naive_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    ie = counting.total_count(args.n, method="ie")
-    ie_seconds = time.perf_counter() - start
-    print(f"nested summation: {naive_seconds:.6f}s", file=sys.stderr)
-    print(f"inclusion-exclusion: {ie_seconds:.6f}s", file=sys.stderr)
-    if naive != ie:
-        print(
-            f"DISAGREEMENT for n={args.n}: nested summation {naive} != inclusion-exclusion {ie}",
-            file=sys.stderr,
-        )
-        return EXIT_INEQUIVALENT
-    print(naive)
-    print("paths agree")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cutchains",
@@ -347,10 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_lattice)
-
-    p = sub.add_parser("bench", help="time both counting paths and check they agree")
-    p.add_argument("--n", type=_nonneg, required=True)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

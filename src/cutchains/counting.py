@@ -13,8 +13,8 @@ provided and must always agree:
   forward difference of x^m, so a whole row is one difference table: m+1
   powers and O(m^2) big-integer subtractions.
 
-instrumented_chain_counts keeps the plain depth-first search over every size
-vector as the oracle for the table at small m.
+The tests keep a plain depth-first search over every size vector as the
+oracle for the table at small m.
 
 All arithmetic is exact arbitrary-precision integer arithmetic.  Binomials
 come from math.comb, and no table outlives the call that builds it.
@@ -39,12 +39,10 @@ __all__ = [
     "chain_counts_by_k",
     "count_table",
     "flag_count",
-    "instrumented_chain_counts",
     "sequence",
     "size_vectors",
     "term_count",
     "total_count",
-    "total_count_rooted",
 ]
 
 Root = Literal["O", "J"]
@@ -111,13 +109,6 @@ class SizeVector:
             total *= binomial(m - prev, nxt - prev)
         return total
 
-    def count_chains_top_down(self) -> int:
-        """Chains with these sizes, built top-down: pick s_k cells, then each subset."""
-        total = binomial(self.cell_count, self.sizes[-1])
-        for prev, nxt in zip(self.sizes, self.sizes[1:]):
-            total *= binomial(nxt, prev)
-        return total
-
 
 def size_vectors(m: int, k: int) -> Iterator[SizeVector]:
     """All size vectors of length k+1 over m cells, in lexicographic order."""
@@ -181,35 +172,6 @@ def chain_counts_by_k(m: int) -> list[int]:
     return [_sum_over_first(m, k, table) for k in range(m + 1)]
 
 
-def instrumented_chain_counts(m: int) -> tuple[list[int], int]:
-    """Per-k counts by depth-first search over every size vector, plus the visit count.
-
-    This is the oracle for the nested-sum table: it visits one vector per
-    nonempty subset of {0, ..., m}, so the second component always equals
-    2^(m+1) - 1, and it is cheap only for small m.
-    """
-    _check_cells(m)
-    totals = [0] * (m + 1)
-    visited = 0
-
-    def descend(remaining: int, depth: int, prod: int) -> None:
-        nonlocal visited
-        for d in range(1, remaining + 1):
-            p = prod * comb(remaining, d)
-            totals[depth] += p
-            visited += 1
-            if d < remaining:
-                descend(remaining - d, depth + 1, p)
-
-    for s0 in range(m + 1):
-        first = comb(m, s0)
-        totals[0] += first
-        visited += 1
-        if s0 < m:
-            descend(m - s0, 1, first)
-    return totals, visited
-
-
 def chain_count_ie(m: int, k: int, root: Root | None = None) -> int:
     """Inclusion-exclusion evaluation of chain_count(m, k) in O(k) terms.
 
@@ -268,6 +230,8 @@ def _counts_by_k(m: int, root: Root | None, method: str) -> list[int]:
     Each method reads every k from one table: the forward differences or the
     nested summation.
     """
+    if root is not None:
+        _check_root(root)
     if _pick_method(method) == "ie":
         return _ie_row(m, root)
     if root is None:
@@ -275,24 +239,15 @@ def _counts_by_k(m: int, root: Root | None, method: str) -> list[int]:
     return _nested_table(m, m)[m]
 
 
-def total_count(n: int, *, method: str = "auto") -> int:
+def total_count(n: int, root: Root | None = None, *, method: str = "auto") -> int:
     """Number of equivalence classes of order-n fuzzy matrices: all chains over n*n cells.
 
-    Both methods are exact and always agree; "auto" evaluates the closed form,
-    which is faster than the nested summation at every order, and "naive"
-    stays as its oracle.
+    With root "O" or "J", only the classes whose chains contain the empty or
+    the full support.  Both methods are exact and always agree; "auto"
+    evaluates the closed form, which is faster than the nested summation at
+    every order, and "naive" stays as its oracle.
     """
     _check_order(n)
-    return sum(_counts_by_k(n * n, None, method))
-
-
-def total_count_rooted(n: int, root: Root, *, method: str = "auto") -> int:
-    """Classes whose chains contain the empty (root "O") or full ("J") support.
-
-    Methods as for total_count.
-    """
-    _check_order(n)
-    _check_root(root)
     return sum(_counts_by_k(n * n, root, method))
 
 
@@ -357,8 +312,6 @@ def count_table(max_n: int, *, root: Root | None = None, method: str = "auto") -
     method selects the path for each row, rooted or not, as for total_count.
     """
     _check_order(max_n)
-    if root is not None:
-        _check_root(root)
     rows = []
     for n in range(max_n + 1):
         counts = _counts_by_k(n * n, root, method)

@@ -21,7 +21,6 @@ __all__ = [
     "Classification",
     "CutChain",
     "EquivalenceClass",
-    "Rootedness",
     "alpha_cut",
     "canonical_representative",
     "classify_corpus",
@@ -30,7 +29,6 @@ __all__ = [
     "equivalent_direct",
     "k_level",
     "reconstruct",
-    "rootedness",
     "signature",
     "strong_alpha_cut",
 ]
@@ -130,7 +128,7 @@ class CutChain:
     cuts: tuple[CrispMatrix, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(Fraction(a) for a in self.levels))
+        object.__setattr__(self, "levels", tuple(_as_level(a) for a in self.levels))
         object.__setattr__(self, "cuts", tuple(self.cuts))
         if len(self.levels) != len(self.cuts):
             raise ValueError("levels and cuts must have equal length")
@@ -184,11 +182,6 @@ class ChainSignature:
         }
 
 
-class Rootedness(NamedTuple):
-    o_rooted: bool
-    j_rooted: bool
-
-
 def _positive_ranks_and_cuts(
     f: FuzzyMatrix, pattern: _RankPattern
 ) -> tuple[range, tuple[CrispMatrix, ...]]:
@@ -235,12 +228,6 @@ def cut_chain(f: FuzzyMatrix) -> CutChain:
 def signature(f: FuzzyMatrix) -> ChainSignature:
     """Canonical equivalence-class signature: the cut chain with levels discarded."""
     return ChainSignature(f.order, _positive_ranks_and_cuts(f, _rank_pattern(f))[1])
-
-
-def rootedness(f: FuzzyMatrix) -> Rootedness:
-    """Whether the empty cut and the full cut appear among f's signature cuts."""
-    sig = signature(f)
-    return Rootedness(o_rooted=sig.o_rooted, j_rooted=sig.j_rooted)
 
 
 def reconstruct(chain: CutChain) -> FuzzyMatrix:
@@ -310,10 +297,6 @@ class Classification:
 
     order: int
     classes: tuple[EquivalenceClass, ...]
-
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
 
     def __len__(self) -> int:
         return len(self.classes)

@@ -97,14 +97,10 @@ class ChainRecord:
 
 
 def _check_job(m: int, k: int, root: str | None, ceiling: int) -> None:
-    if m < 0:
-        raise ValueError(f"cell count must be nonnegative, got {m}")
-    if root not in (None, "O", "J"):
-        raise ValueError(f'root must be "O" or "J", got {root!r}')
     if ceiling < 0:
         # a usage error, not a job refused for its size
         raise ValueError(f"the chain ceiling must be nonnegative, got {ceiling}")
-    projected = chain_count_ie(m, k, root)
+    projected = chain_count_ie(m, k, root)  # rejects a negative m and an unknown root
     if projected > ceiling:
         # past a 64-bit count, the digits make a long line or exceed what str() prints
         bits = projected.bit_length()

@@ -17,7 +17,6 @@ __all__ = [
     "CrispMatrix",
     "FuzzyMatrix",
     "bits_to_mask",
-    "fuzzy_complement",
     "format_value",
     "mask_to_bits",
     "parse_value",
@@ -72,16 +71,16 @@ def format_value(value: Fraction) -> str:
 
 
 def _coerce_entry(value) -> Fraction:
+    if isinstance(value, str):
+        return parse_value(value)
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError(
             f"float entries are not allowed (got {value!r}); use a string or Fraction"
         )
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        return parse_value(value)
     raise TypeError(f"cannot use {type(value).__name__} as a membership value")
 
 
@@ -195,7 +194,8 @@ class FuzzyMatrix:
         entries = data["entries"]
         if not isinstance(entries, list) or any(not isinstance(r, list) for r in entries):
             raise ValueError('"entries" must be a list of lists of value strings')
-        return cls(n, tuple(tuple(parse_value(str(v)) for v in row) for row in entries))
+        # each entry is coerced as the constructor coerces it, so a float is refused
+        return cls(n, tuple(tuple(row) for row in entries))
 
     def to_text(self) -> str:
         return "\n".join(" ".join(format_value(v) for v in row) for row in self.entries)
@@ -223,9 +223,3 @@ class FuzzyMatrix:
 def _same_order(a, b) -> None:
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} vs {b.order}")
-
-
-def fuzzy_complement(a: FuzzyMatrix) -> FuzzyMatrix:
-    """Cellwise 1 - x."""
-    rows = tuple(tuple(ONE - x for x in row) for row in a.entries)
-    return FuzzyMatrix(a.order, rows)

@@ -53,6 +53,15 @@ def size_vector_sums(m, root=None):
     return totals
 
 
+def count_chains_top_down(vec):
+    """Chains with a SizeVector's sizes, built top-down: pick s_k cells, then each
+    subset; SizeVector.count_chains builds them bottom-up."""
+    total = comb(vec.cell_count, vec.sizes[-1])
+    for prev, nxt in zip(vec.sizes, vec.sizes[1:]):
+        total *= comb(nxt, prev)
+    return total
+
+
 def fubini_numbers(max_m):
     """Ordered set partitions of m cells (OEIS A000670) for m = 0..max_m, by the
     recurrence a(m) = sum_{j=1}^{m} C(m, j) a(m - j): choose the first block."""
@@ -104,6 +113,11 @@ def rank_pattern_oracle(f):
     values = list(f.values())
     key = {v: (rank, v == 0, v == 1) for rank, v in enumerate(sorted(set(values)))}
     return [key[v] for v in values]
+
+
+def fuzzy_complement(f):
+    """Cellwise 1 - x."""
+    return FuzzyMatrix(f.order, tuple(tuple(1 - x for x in row) for row in f.entries))
 
 
 def shares_a_float(f):

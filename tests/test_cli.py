@@ -120,7 +120,7 @@ class TestNaiveLimit:
             ["count", "--n", "17", "--method", "naive"],
             ["table", "--max-n", "17", "--method", "naive"],
             ["sequence", "--max-n", "17", "--method", "naive"],
-            ["bench", "--n", "17"],
+            ["count", "--n", "17", "--k", "2", "--method", "naive"],
         ],
     )
     def test_refused_at_once(self, capsys, argv):
@@ -314,6 +314,34 @@ class TestMatrixCommands:
         code, _, err = run_cli(capsys, "signature", "--input", bad)
         assert code == 4 and '"n" must be an integer' in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 1.0, "entries": [["0.5"]]}',
+            '{"n": 1, "entries": [[true]]}',
+            '{"n": 1, "entries": [[false]]}',
+            '{"n": 1, "entries": [[1e-30000000]]}',
+        ],
+    )
+    def test_bad_json_literal_is_malformed(self, capsys, tmp_path, text):
+        bad = self.write(tmp_path, "bad.json", text)
+        code, out, err = run_cli(capsys, "signature", "--input", bad)
+        assert code == 4 and out == ""
+        assert err.startswith("error: malformed matrix file") and err.count("\n") == 1
+
+    def test_json_numbers_read_from_their_literal(self, capsys, tmp_path):
+        # the two interior values share a float, so reading them as floats merges them
+        entries = ["0.12345678901234567891", "0.12345678901234567892", "0", "1"]
+        rows = f"[{entries[0]}, {entries[1]}], [{entries[2]}, {entries[3]}]"
+        numbers = self.write(tmp_path, "long.json", f'{{"n": 2, "entries": [{rows}]}}')
+        strings = self.write(
+            tmp_path, "longs.json", json.dumps({"n": 2, "entries": [entries[:2], entries[2:]]})
+        )
+        assert run_cli(capsys, "equivalent", numbers, strings)[:2] == (0, "equivalent\n")
+        for path in (numbers, strings):
+            code, out, _ = run_cli(capsys, "signature", "--input", path)
+            assert code == 0 and json.loads(out)["k"] == 2
+
     def test_unreadable_input_is_malformed(self, capsys, tmp_path):
         undecodable = tmp_path / "latin1.txt"
         undecodable.write_bytes(b"0.5 \xe9\n")
@@ -491,14 +519,6 @@ class TestLattice:
         assert code == 3
 
 
-class TestBench:
-    def test_agrees_and_reports(self, capsys):
-        code, out, err = run_cli(capsys, "bench", "--n", "2")
-        assert code == 0
-        assert out == "299\npaths agree\n"
-        assert "nested summation" in err and "inclusion-exclusion" in err
-
-
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -530,6 +550,11 @@ class TestUsageErrors:
     def test_bad_choice(self):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--n", "2", "--root", "Q"])
+        assert exc.value.code == 2
+
+    def test_no_bench_subcommand(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--n", "2"])
         assert exc.value.code == 2
 
     def test_classify_has_no_format_option(self):

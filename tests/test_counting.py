@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cutchains as cc
-from helpers import brute_force_chains, fubini_numbers, size_vector_sums
+from helpers import brute_force_chains, count_chains_top_down, fubini_numbers, size_vector_sums
 
 
 class TestBinomial:
@@ -60,7 +60,7 @@ class TestSizeVector:
         for m in range(7):
             for k in range(m + 1):
                 for vec in cc.size_vectors(m, k):
-                    assert vec.count_chains() == vec.count_chains_top_down()
+                    assert vec.count_chains() == count_chains_top_down(vec)
 
     def test_multinomial_equality_sampled_large(self):
         rng = random.Random(2024)
@@ -68,12 +68,12 @@ class TestSizeVector:
             k = rng.randint(0, 25)
             sizes = tuple(sorted(rng.sample(range(26), k + 1)))
             vec = cc.SizeVector(25, sizes)
-            assert vec.count_chains() == vec.count_chains_top_down()
+            assert vec.count_chains() == count_chains_top_down(vec)
 
     def test_counts_against_stdlib_products(self):
         vec = cc.SizeVector(4, (1, 3))
         assert vec.count_chains() == math.comb(4, 1) * math.comb(3, 2)
-        assert vec.count_chains_top_down() == math.comb(4, 3) * math.comb(3, 1)
+        assert count_chains_top_down(vec) == math.comb(4, 3) * math.comb(3, 1)
 
 
 class TestChainCount:
@@ -107,7 +107,7 @@ class TestChainCount:
 class TestNestedSumTable:
     def test_unrooted_matches_dfs_oracle(self):
         for m in range(17):
-            counts, _ = cc.instrumented_chain_counts(m)
+            counts = size_vector_sums(m)
             assert cc.chain_counts_by_k(m) == counts
             assert [cc.chain_count(m, k) for k in range(m + 1)] == counts
 
@@ -234,8 +234,8 @@ class TestTotals:
         for n in range(5):
             assert cc.total_count(n, method="naive") == cc.total_count(n, method="ie")
             for root in ("O", "J"):
-                naive = cc.total_count_rooted(n, root, method="naive")
-                assert naive == cc.total_count_rooted(n, root, method="ie")
+                naive = cc.total_count(n, root, method="naive")
+                assert naive == cc.total_count(n, root, method="ie")
 
     def test_totals_are_four_fubini_minus_one(self):
         # OEIS A007047 = 4 * A000670 - 1 for m >= 1; rooted, A000629 = 2 * A000670
@@ -245,11 +245,18 @@ class TestTotals:
                 assert total == 4 * fubini[n * n] - 1
         for n in range(1, 19):
             for root in ("O", "J"):
-                assert cc.total_count_rooted(n, root, method="ie") == 2 * fubini[n * n]
+                assert cc.total_count(n, root, method="ie") == 2 * fubini[n * n]
 
     def test_bad_method(self):
         with pytest.raises(ValueError):
             cc.total_count(2, method="guess")
+
+    @pytest.mark.parametrize("method", ["naive", "ie"])
+    def test_bad_root(self, method):
+        with pytest.raises(ValueError, match="root must be"):
+            cc.total_count(2, "X", method=method)
+        with pytest.raises(ValueError, match="root must be"):
+            cc.count_table(0, root="X", method=method)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -264,7 +271,7 @@ class TestTotals:
             m = n * n
             for root in ("O", "J"):
                 expected = sum(len(brute_force_chains(m, k, root)) for k in range(m + 1))
-                assert cc.total_count_rooted(n, root) == expected
+                assert cc.total_count(n, root) == expected
 
 
 class TestFlagAndTermCounts:
@@ -279,9 +286,11 @@ class TestFlagAndTermCounts:
 
     def test_instrumented_visit_counts(self):
         for n in (1, 2, 3):
-            counts, visited = cc.instrumented_chain_counts(n * n)
-            assert visited == cc.term_count(n)
-            assert counts == cc.chain_counts_by_k(n * n)
+            m = n * n
+            by_k = [list(cc.size_vectors(m, k)) for k in range(m + 1)]
+            assert sum(map(len, by_k)) == cc.term_count(n)
+            counts = [sum(v.count_chains() for v in vecs) for vecs in by_k]
+            assert counts == cc.chain_counts_by_k(m)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cutchains import (
-    CrispMatrix,
-    FuzzyMatrix,
-    format_value,
-    fuzzy_complement,
-    parse_value,
-)
-from helpers import all_crisp, fuzzy_matrices
+from cutchains import CrispMatrix, FuzzyMatrix, format_value, parse_value
+from helpers import all_crisp, fuzzy_complement, fuzzy_matrices
 
 
 class TestParseFormat:
@@ -170,6 +164,17 @@ class TestFuzzyMatrix:
     def test_json_rejects_bool_order(self):
         with pytest.raises(ValueError, match='"n" must be an integer'):
             FuzzyMatrix.from_json_dict({"n": True, "entries": [["0.5"]]})
+
+    def test_json_entries_coerced_as_by_the_constructor(self):
+        with pytest.raises(TypeError, match="float entries are not allowed"):
+            FuzzyMatrix.from_json_dict({"n": 1, "entries": [[0.5]]})
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="bool"):
+                FuzzyMatrix.from_json_dict({"n": 1, "entries": [[flag]]})
+        with pytest.raises(ValueError, match='"n" must be an integer'):
+            FuzzyMatrix.from_json_dict({"n": 1.0, "entries": [["0.5"]]})
+        ints = FuzzyMatrix.from_json_dict({"n": 2, "entries": [[0, 1], ["1/2", 1]]})
+        assert ints == FuzzyMatrix.from_rows([["0", "1"], ["0.5", "1"]])
 
     def test_order_zero(self):
         f = FuzzyMatrix(0, ())
