@@ -48,17 +48,24 @@ def _nonneg(text: str) -> int:
 
 
 def _emit(text: str | Iterable[str], output: str | None) -> None:
-    """Write text, or an iterable of text chunks as they come, to stdout or a file."""
+    """Write text, or an iterable of text chunks as they come, to stdout or a file.
+
+    Failing to open, write or close the target is a usage error, as a ValueError.
+    """
     chunks = [text] if isinstance(text, str) else text
-    if output is None:
-        sys.stdout.writelines(chunks)
-        return
     try:
-        handle = open(output, "w", encoding="utf-8")
+        if output is None:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()  # fails here, not as the interpreter exits
+        else:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
     except OSError as exc:
-        raise ValueError(f"cannot write {output}: {exc}") from exc  # a usage error
-    with handle:
-        handle.writelines(chunks)
+        if output is None:
+            # the interpreter flushes stdout again as it exits: send what is left
+            # of the buffer to the null device, so that flush cannot fail as well
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValueError(f"cannot write {output or 'stdout'}: {exc}") from exc
 
 
 def _json_array_chunks(items: Iterable) -> Iterator[str]:
@@ -170,7 +177,7 @@ def _cmd_count(args) -> int:
         value = counting.chain_count(m, args.k)
     else:
         value = counting.chain_count_rooted(m, args.k, args.root)
-    print(value)
+    _emit(f"{value}\n", None)
     return EXIT_OK
 
 
@@ -178,7 +185,7 @@ def _cmd_table(args) -> int:
     _check_count_job(args.max_n * args.max_n, args.method)
     table = counting.count_table(args.max_n, root=args.root, method=args.method)
     if args.format == "csv":
-        _emit(table.to_csv(), args.output)
+        _emit(table.csv_lines(), args.output)
     else:
         _emit(json.dumps(table.to_json_dict(), indent=2) + "\n", args.output)
     return EXIT_OK
@@ -237,11 +244,9 @@ def _cmd_equivalent(args) -> int:
     b = _load_matrix(args.file_b, args.input_format)
     if a.order != b.order:
         raise MalformedInputError(f"order mismatch: {a.order} vs {b.order}")
-    if equivalent_direct(a, b):
-        print("equivalent")
-        return EXIT_OK
-    print("inequivalent")
-    return EXIT_INEQUIVALENT
+    same = equivalent_direct(a, b)
+    _emit("equivalent\n" if same else "inequivalent\n", None)
+    return EXIT_OK if same else EXIT_INEQUIVALENT
 
 
 def _cmd_signature(args) -> int:
@@ -253,7 +258,7 @@ def _cmd_signature(args) -> int:
 def _cmd_lattice(args) -> int:
     diagram = enumeration.hasse_export(args.m)
     if args.format == "dot":
-        _emit(diagram.to_dot(), args.output)
+        _emit(diagram.dot_lines(), args.output)
     else:
         _emit(json.dumps(diagram.to_json_dict(), indent=2) + "\n", args.output)
     return EXIT_OK
@@ -339,7 +344,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except ValueError as exc:
-        # e.g. conflicting enumerate flags or an unwritable --output
+        # e.g. conflicting enumerate flags or an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

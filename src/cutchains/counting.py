@@ -288,12 +288,15 @@ class CountTable:
     def max_n(self) -> int:
         return len(self.rows) - 1
 
-    def to_csv(self) -> str:
-        lines = ["n,k,f_nk,f_n"]
+    def csv_lines(self) -> Iterator[str]:
+        """The CSV text, one line at a time."""
+        yield "n,k,f_nk,f_n\n"
         for row in self.rows:
-            total = f",{row.total}"  # one decimal conversion per row, not per k
-            lines.extend(f"{row.n},{k},{value}{total}" for k, value in enumerate(row.counts))
-        return "\n".join(lines) + "\n"
+            total = f",{row.total}\n"  # one decimal conversion per row, not per k
+            yield from (f"{row.n},{k},{value}{total}" for k, value in enumerate(row.counts))
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_lines())
 
     def to_json_dict(self) -> dict:
         return {

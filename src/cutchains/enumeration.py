@@ -4,23 +4,25 @@ Supports over m cells are bitmasks in CrispMatrix's bit order (bit m-1-p holds
 cell p+1), so numeric order on masks is lexicographic order on the bitstrings.
 Chains are emitted by one serial walker that recurses on the next strictly
 larger support, pruning branches that cannot reach the requested length.  Each
-job is pre-sized with the closed-form count (rooted or not) and refused above the
-caller's chain ceiling before its first chain is drawn; enumerate_chains,
-count_chains, group_by_size_vector and chain_lines each consume that one
-checked stream, so a listing streams in constant memory.  chain_lines formats
-each support once per listing, through a memo of at most LISTING_MEMO_SIZE
-supports that is dropped with the listing.
+job is sized before its first chain is drawn and refused above the caller's
+chain ceiling: by the exact closed-form count (rooted or not), or, where that
+count would take long to compute, by an O(1) lower bound that already exceeds
+the ceiling.  enumerate_chains, count_chains, group_by_size_vector and
+chain_lines each consume that one checked stream, so a listing streams in
+constant memory.  chain_lines formats each support once per listing, through a
+memo of at most LISTING_MEMO_SIZE supports that is dropped with the listing.
+The support lattice (HasseDiagram) is computed from m and written line by line.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
 from typing import Iterable, Iterator
 
-from .counting import chain_count_ie
+from .counting import _check_root, chain_count_ie
 from .matrices import mask_to_bits
 
 __all__ = [
@@ -46,6 +48,13 @@ DEFAULT_CHAIN_CEILING = 10**7
 # raised `enumerate --m 20 --k 0 --list --labels` from 18 to 39 MiB peak RSS and
 # was no faster.
 LISTING_MEMO_SIZE = 1 << 12
+
+# Largest job size, as (k+1) * m * log2(k+2), about the bits of the k+1 powers
+# that chain_count_ie multiplies out, whose exact projection is computed before
+# the ceiling is checked: at 10^6 that takes at most about 15 ms, and
+# chain_count_ie(3000, 3000), at 10^8, 0.8 s (Python 3.11, one process).  A
+# larger job is refused in O(1) when a lower bound on its size exceeds the ceiling.
+_EXACT_PROJECTION_BITS = 10**6
 
 
 class InfeasibleJobError(Exception):
@@ -100,7 +109,20 @@ def _check_job(m: int, k: int, root: str | None, ceiling: int) -> None:
     if ceiling < 0:
         # a usage error, not a job refused for its size
         raise ValueError(f"the chain ceiling must be nonnegative, got {ceiling}")
-    projected = chain_count_ie(m, k, root)  # rejects a negative m and an unknown root
+    if root is not None:
+        _check_root(root)
+    if 0 <= k <= m and (k + 1) * m * math.log2(k + 2) > _EXACT_PROJECTION_BITS:
+        # k cells enter one per step in any order and the rest take any slot, so
+        # there are at least k! * slots^(m-k) chains; the factor 1 - 1e-12 keeps
+        # float error from rounding bits above the exact bit_length() - 1
+        slots = k + 2 if root is None else k + 1
+        ln_bound = math.lgamma(k + 1) + (m - k) * math.log(slots)
+        bits = int(ln_bound / math.log(2) * (1 - 1e-12))
+        if bits >= ceiling.bit_length():
+            raise InfeasibleJobError(
+                f"projected at least 2^{bits} chains for m={m}, k={k} exceeds the ceiling {ceiling}"
+            )
+    projected = chain_count_ie(m, k, root)  # rejects a negative m
     if projected > ceiling:
         # past a 64-bit count, the digits make a long line or exceed what str() prints
         bits = projected.bit_length()
@@ -208,36 +230,42 @@ def chain_lines(
 
 @dataclass(frozen=True)
 class HasseDiagram:
-    """Covering relation of the support lattice: edges add exactly one cell."""
+    """Covering relation of the support lattice, computed from m: edges add exactly one cell."""
 
     cell_count: int
-    nodes: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
 
-    def _bits(self) -> dict[int, str]:
-        """Bitstring of every node and edge end, each formatted once."""
+    def __post_init__(self) -> None:
+        enumerate_supports(self.cell_count)  # refuses a negative m and one above the cap
+
+    @property
+    def nodes(self) -> range:
+        return range(1 << self.cell_count)
+
+    @property
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Every cover: nodes ascending, then absent cells in cell order (bit m-1 is cell 1)."""
+        cells = [1 << p for p in reversed(range(self.cell_count))]
+        return ((node, node | bit) for node in self.nodes for bit in cells if not node & bit)
+
+    def dot_lines(self) -> Iterator[str]:
+        """The DOT text, one line at a time."""
         m = self.cell_count
-        bits = {n: mask_to_bits(n, m) for n in self.nodes}
-        for end in chain.from_iterable(self.edges):
-            if end not in bits:
-                bits[end] = mask_to_bits(end, m)
-        return bits
+        bits = [mask_to_bits(n, m) for n in self.nodes]
+        yield "digraph support_lattice {\n"
+        yield "  rankdir=BT;\n"
+        for node in self.nodes:
+            yield f'  "{bits[node]}" [label="{support_label(node, m)}"];\n'
+        for a, b in self.edges:
+            yield f'  "{bits[a]}" -> "{bits[b]}";\n'
+        yield "}\n"
 
     def to_dot(self) -> str:
-        m = self.cell_count
-        bits = self._bits()
-        lines = ["digraph support_lattice {", "  rankdir=BT;"]
-        for node in self.nodes:
-            lines.append(f'  "{bits[node]}" [label="{support_label(node, m)}"];')
-        for a, b in self.edges:
-            lines.append(f'  "{bits[a]}" -> "{bits[b]}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return "".join(self.dot_lines())
 
     def to_json_dict(self) -> dict:
         m = self.cell_count
-        bits = self._bits()
-        adjacency: dict[str, list[str]] = {bits[n]: [] for n in self.nodes}
+        bits = [mask_to_bits(n, m) for n in self.nodes]
+        adjacency: dict[str, list[str]] = {b: [] for b in bits}
         for a, b in self.edges:
             adjacency[bits[a]].append(bits[b])
         return {
@@ -249,12 +277,4 @@ class HasseDiagram:
 
 def hasse_export(m: int) -> HasseDiagram:
     """Covering-relation graph over all supports of m cells."""
-    nodes = tuple(enumerate_supports(m))
-    edges = []
-    for node in nodes:
-        # iterate absent cells in cell order (bit m-1 is cell 1)
-        for p in range(m):
-            bit = 1 << (m - 1 - p)
-            if not node & bit:
-                edges.append((node, node | bit))
-    return HasseDiagram(m, nodes, tuple(edges))
+    return HasseDiagram(m)

@@ -135,6 +135,18 @@ def record_to_sets(record):
     return tuple(bits_to_set(b) for b in record.bitstrings())
 
 
+def hasse_edge_oracle(m):
+    """Covers of the subsets of range(m), as bitstring pairs: nodes in bitstring
+    order, then each absent cell in cell order."""
+
+    def bits(cells):
+        return "".join("1" if p in cells else "0" for p in range(m))
+
+    subsets = (frozenset(c) for r in range(m + 1) for c in combinations(range(m), r))
+    nodes = sorted(subsets, key=bits)
+    return [(bits(node), bits(node | {p})) for node in nodes for p in range(m) if p not in node]
+
+
 def hasse_dot_oracle(diagram):
     """DOT text of a HasseDiagram, formatting both ends of every edge afresh."""
     m = diagram.cell_count

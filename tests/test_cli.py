@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -18,6 +19,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_command(*argv):
+    """`python -m cutchains ARGV` and an environment in which the child imports
+    the same package as this process, installed or not."""
+    package_root = str(Path(cutchains.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "cutchains", *argv], {**os.environ, "PYTHONPATH": path}
 
 
 class TestCount:
@@ -246,6 +255,16 @@ class TestEnumerate:
         assert err.startswith("infeasible job: projected at least 2^") and err.count("\n") == 1
         assert len(err) < 200
 
+    @pytest.mark.parametrize(
+        "m,k", [("100000000", "1"), ("30000000", "30"), ("12000", "12000"), ("6000", "6000")]
+    )
+    def test_costly_projection_refused_at_once(self, capsys, m, k):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "enumerate", "--m", m, "--k", k)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("infeasible job: projected at least 2^") and err.count("\n") == 1
+
     def test_list_output_file_matches_stdout(self, capsys, tmp_path):
         argv = ["enumerate", "--m", "4", "--k", "2", "--list", "--labels"]
         _, stdout, _ = run_cli(capsys, *argv)
@@ -457,7 +476,29 @@ class TestMatrixCommands:
 
 
 class TestGoldenBytes:
-    """classify and signature output on a small fixed corpus, byte for byte."""
+    """classify and signature output on a small fixed corpus, byte for byte, and
+    the SHA-256 of streamed lattice and table outputs."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["lattice", "--m", "10"],
+             "5f2b1955241e4ed6df13817e392856d843630b0e52266b0e084eedebdaadcfa6"),
+            (["lattice", "--m", "10", "--format", "json"],
+             "606d038984a6bb82940aaa58354ae97ff16651155b127a3f9ad689cc6cceda45"),
+            (["table", "--max-n", "12"],
+             "2d1705bc37ea8d3771ed4deec200ff86b18c5301dadcd1c9ea3b58a3f8a48581"),
+            (["table", "--max-n", "12", "--root", "O"],
+             "e5f4bb66e37d3a641d6d9e405fc35e876dd881b8b29614e4aa4297cd0e947cee"),
+        ],
+    )
+    def test_lattice_and_table_digests(self, capsys, tmp_path, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+        target = tmp_path / "out"
+        code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 0 and out == ""
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
     CLASSIFY = (DATA / "golden_classify.json").read_text()
 
@@ -514,9 +555,13 @@ class TestLattice:
         assert code == 0
         assert json.loads(out)["adjacency"] == {"0": ["1"], "1": []}
 
-    def test_infeasible(self, capsys):
+    def test_infeasible(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "lattice", "--m", "20")
         assert code == 3
+        target = tmp_path / "lattice.dot"
+        code, out, err = run_cli(capsys, "lattice", "--m", "20", "--output", str(target))
+        assert code == 3 and out == "" and err.startswith("infeasible job: ")
+        assert not target.exists()
 
 
 class TestDeterminism:
@@ -565,14 +610,81 @@ class TestUsageErrors:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        # the child imports the same package as this process, installed or not
-        package_root = str(Path(cutchains.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "cutchains", "count", "--n", "1"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        command, env = cli_command("count", "--n", "1")
+        result = subprocess.run(command, capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert result.stdout == "3\n"
+
+
+FULL_DEVICE = "/dev/full"  # every write to it fails with ENOSPC
+needs_full_device = pytest.mark.skipif(
+    not os.path.exists(FULL_DEVICE), reason=f"{FULL_DEVICE} is absent"
+)
+
+
+def buffered_cli_command(*argv):
+    """cli_command with stdout block-buffered, as by default: the interpreter then
+    flushes what is left of it as it exits, which must not fail again."""
+    command, env = cli_command(*argv)
+    env.pop("PYTHONUNBUFFERED", None)
+    return command, env
+
+
+class TestWriteFailures:
+    """A failed write to stdout or --output is one error line and exit 2, never a traceback."""
+
+    @staticmethod
+    def assert_write_error(code, err):
+        assert code == 2
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+
+    @needs_full_device
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--n", "2"],
+            ["equivalent", "MATRIX", "MATRIX"],
+            ["sequence", "--max-n", "3"],
+            ["table", "--max-n", "3"],
+            ["lattice", "--m", "12"],
+            ["enumerate", "--m", "4", "--k", "2", "--list"],
+            ["signature", "--input", "MATRIX"],
+        ],
+    )
+    def test_stdout_on_full_device(self, tmp_path, argv):
+        matrix = tmp_path / "a.txt"
+        matrix.write_text("0.3 0.7\n0.7 1\n")
+        argv = [str(matrix) if word == "MATRIX" else word for word in argv]
+        command, env = buffered_cli_command(*argv)
+        with open(FULL_DEVICE, "w") as full:
+            result = subprocess.run(
+                command, stdout=full, stderr=subprocess.PIPE, text=True, env=env
+            )
+        self.assert_write_error(result.returncode, result.stderr)
+
+    @needs_full_device
+    @pytest.mark.parametrize(
+        "argv", [["lattice", "--m", "3"], ["table", "--max-n", "3", "--format", "json"]]
+    )
+    def test_output_on_full_device(self, argv):
+        command, env = buffered_cli_command(*argv, "--output", FULL_DEVICE)
+        result = subprocess.run(command, capture_output=True, text=True, env=env)
+        assert result.stdout == ""
+        self.assert_write_error(result.returncode, result.stderr)
+
+    @pytest.mark.parametrize(
+        "argv,first",
+        [
+            (["enumerate", "--m", "8", "--k", "2", "--list"], "00000000 < 00000001 < 00000011\n"),
+            (["lattice", "--m", "12"], "digraph support_lattice {\n"),
+        ],
+    )
+    def test_pipe_closed_after_first_line(self, argv, first):
+        # each output is far larger than a pipe's buffer, so writes go on after the close
+        command, env = buffered_cli_command(*argv)
+        child = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert child.stdout.readline().decode() == first
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        self.assert_write_error(child.wait(), err)

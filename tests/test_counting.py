@@ -327,6 +327,25 @@ class TestTableAndSequence:
             ],
         }
 
+    def test_csv_lines_one_line_each(self):
+        table = cc.count_table(3, root="J")
+        lines = list(table.csv_lines())
+        assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+        assert "".join(lines) == table.to_csv()
+        assert len(lines) == 1 + sum(n * n + 1 for n in range(4))
+
+    def test_csv_lines_stream(self):
+        # to_csv() of this table allocates about 49 MiB; each line is dropped once written
+        table = cc.count_table(30)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in table.csv_lines())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 1 + sum(n * n + 1 for n in range(31))
+        assert peak < 2**20
+
     def test_row_total_validated(self):
         with pytest.raises(ValueError):
             cc.CountRow(1, (2, 1), 4)

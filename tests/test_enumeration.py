@@ -1,4 +1,7 @@
+import math
+import re
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
@@ -8,6 +11,7 @@ from helpers import (
     bits_to_set,
     brute_force_chains,
     hasse_dot_oracle,
+    hasse_edge_oracle,
     hasse_json_oracle,
     record_to_sets,
 )
@@ -189,6 +193,32 @@ class TestFeasibilityCeiling:
             cc.count_chains(2, 5, ceiling=-1)
         assert cc.count_chains(2, 1, ceiling=5) == 5  # a projection equal to the ceiling runs
 
+    def test_lower_bound_tight_at_k_equal_m(self):
+        # m cells entering one per step: exactly m! chains, which the bound k! states
+        with pytest.raises(InfeasibleJobError) as exc:
+            cc.count_chains(12_000, 12_000)
+        bits = int(re.search(r"2\^(\d+)", str(exc.value)).group(1))
+        exact = math.factorial(12_000).bit_length() - 1
+        assert exact - 1 <= bits <= exact
+
+    def test_lower_bound_never_above_exact(self, monkeypatch):
+        # every job takes the bound; a ceiling of 0 refuses each by it
+        monkeypatch.setattr(enumeration, "_EXACT_PROJECTION_BITS", -1)
+        for m in range(0, 200, 3):
+            for k in sorted({0, 1, 2, 3, m // 3, m // 2, m - 1, m} & set(range(m + 1))):
+                for root in (None, "O", "J"):
+                    with pytest.raises(InfeasibleJobError) as exc:
+                        cc.count_chains(m, k, root, ceiling=0)
+                    bits = int(re.search(r"2\^(\d+)", str(exc.value)).group(1))
+                    exact = cc.chain_count_ie(m, k, root).bit_length() - 1
+                    assert bits <= exact
+                    if k == m:
+                        assert bits >= exact - 1
+
+    def test_bound_checks_root_first(self):
+        with pytest.raises(ValueError, match="root"):
+            cc.count_chains(100_000_000, 1, "X")
+
     def test_large_job_refused_by_default(self):
         # 3^20 - 2^20 chains is far beyond the default ceiling
         with pytest.raises(InfeasibleJobError):
@@ -246,7 +276,7 @@ class TestHasse:
     def test_counts(self, m, nodes, edges):
         diagram = cc.hasse_export(m)
         assert len(diagram.nodes) == nodes
-        assert len(diagram.edges) == edges
+        assert sum(1 for _ in diagram.edges) == edges
 
     def test_edges_are_covering_pairs(self):
         diagram = cc.hasse_export(3)
@@ -257,7 +287,19 @@ class TestHasse:
     def test_edge_count_formula(self):
         for m in range(6):
             expected = m * 2 ** (m - 1) if m else 0
-            assert len(cc.hasse_export(m).edges) == expected
+            assert sum(1 for _ in cc.hasse_export(m).edges) == expected
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_edges_match_set_oracle(self, m):
+        edges = cc.hasse_export(m).edges
+        assert [(cc.mask_to_bits(a, m), cc.mask_to_bits(b, m)) for a, b in edges] == (
+            hasse_edge_oracle(m)
+        )
+
+    def test_determined_by_cell_count(self):
+        assert [f.name for f in fields(cc.HasseDiagram)] == ["cell_count"]
+        assert cc.hasse_export(5) == cc.HasseDiagram(5)
+        assert cc.HasseDiagram(5).nodes == range(32)
 
     def test_dot_output(self):
         dot = cc.hasse_export(2).to_dot()
@@ -277,6 +319,10 @@ class TestHasse:
     def test_cap(self):
         with pytest.raises(InfeasibleJobError):
             cc.hasse_export(17)
+        with pytest.raises(InfeasibleJobError):
+            cc.HasseDiagram(17)
+        with pytest.raises(ValueError, match="nonnegative"):
+            cc.HasseDiagram(-1)
 
     @pytest.mark.parametrize("m", range(7))
     def test_exports_match_per_edge_oracle(self, m):
@@ -284,13 +330,20 @@ class TestHasse:
         assert diagram.to_dot() == hasse_dot_oracle(diagram)
         assert diagram.to_json_dict() == hasse_json_oracle(diagram)
 
-    def test_hand_built_diagram(self):
-        # nodes not all of range(2**m), out of order, and an edge to a support
-        # (110) that is not a node
-        diagram = cc.HasseDiagram(3, (0b111, 0b010, 0b000, 0b011), (
-            (0b000, 0b010), (0b010, 0b011), (0b011, 0b111), (0b010, 0b110),
-        ))
-        assert diagram.to_dot() == hasse_dot_oracle(diagram)
-        assert '"010" -> "110";' in diagram.to_dot()
-        assert diagram.to_json_dict() == hasse_json_oracle(diagram)
-        assert diagram.to_json_dict()["adjacency"]["010"] == ["011", "110"]
+    def test_dot_lines_one_line_each(self):
+        lines = list(cc.hasse_export(3).dot_lines())
+        assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+        assert "".join(lines) == cc.hasse_export(3).to_dot()
+        assert len(lines) == 2 + 8 + 12 + 1
+
+    def test_dot_lines_stream(self):
+        # the whole m = 16 text is 21.6 MB; only the 2^16 node names are held
+        diagram = cc.hasse_export(16)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in diagram.dot_lines())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 2 + 2**16 + 16 * 2**15 + 1
+        assert peak < 8 * 2**20

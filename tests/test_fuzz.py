@@ -127,7 +127,7 @@ def test_cli_on_arbitrary_files_ends_in_documented_exit(tmp_path, first, second)
 # accepted and cheap: nested summation to n = 8, or to n = 16 for k <= 3;
 # counting tables to n = 20; enumeration under a ceiling of at most 10^5
 # chains.  The explicit examples sit on both sides of each refusal boundary;
-# the slowest of them, `lattice --m 16`, takes about 1.5 s.
+# the slowest of them, `lattice --m 16`, takes about 0.8 s.
 INTEGER_WALL_BOUND_S = 5.0
 INTEGER_EXIT_CODES = (0, EXIT_USAGE, EXIT_INFEASIBLE)
 
@@ -183,8 +183,9 @@ table_argv = st.one_of(
     _cat(_max_n("table"), roots, st.sampled_from([[], ["--format", "json"]])),
     _cat(_max_n("sequence"), st.sampled_from([[], ["--b-file"]])),
 )
-# mostly orders small enough to enumerate, the rest up to where refusal takes 0.3 s
-cells = st.one_of(st.integers(-3, 12), st.integers(-3, 2000))
+# mostly orders small enough to enumerate, the rest up to 10^6 cells, whose
+# costly projections are refused by a lower bound without exact arithmetic
+cells = st.one_of(st.integers(-3, 12), st.integers(-3, 2000), st.integers(-3, 10**6))
 enumerate_argv = _cat(
     st.just(["enumerate"]), _arg("--m", cells), _arg("--k", cells), roots,
     st.sets(st.sampled_from(["--list", "--labels", "--group-by-sizes"])).map(sorted),
@@ -217,6 +218,10 @@ def test_table_and_sequence_on_integer_arguments(argv):
 @settings(max_examples=40)
 @given(enumerate_argv)
 @example(["enumerate", "--m", "2000", "--k", "2000", "--ceiling", "100000"])
+@example(["enumerate", "--m", "100000000", "--k", "1"])
+@example(["enumerate", "--m", "30000000", "--k", "30"])
+@example(["enumerate", "--m", "12000", "--k", "12000"])
+@example(["enumerate", "--m", "1000000", "--k", "0", "--root", "J", "--list"])
 @example(["enumerate", "--m", "4", "--k", "2", "--ceiling", "110"])
 @example(["enumerate", "--m", "4", "--k", "2", "--ceiling", "109"])
 def test_enumerate_on_integer_arguments(argv):
