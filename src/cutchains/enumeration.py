@@ -2,20 +2,25 @@
 
 Supports over m cells are bitmasks in CrispMatrix's bit order (bit m-1-p holds
 cell p+1), so numeric order on masks is lexicographic order on the bitstrings.
-Chains are emitted by one serial walker that recurses on the next strictly
-larger support, pruning branches that cannot reach the requested length.  Each
-job is sized before its first chain is drawn and refused above the caller's
-chain ceiling: by the exact closed-form count (rooted or not), or, where that
-count would take long to compute, by an O(1) lower bound that already exceeds
-the ceiling.  enumerate_chains, count_chains, group_by_size_vector and
-chain_lines each consume that one checked stream, so a listing streams in
-constant memory.  chain_lines formats each support once per listing, through a
-memo of at most LISTING_MEMO_SIZE supports that is dropped with the listing.
-The support lattice (HasseDiagram) is computed from m and written line by line.
+Chains are found by a serial walk that recurses on the next strictly larger
+support, pruning branches that cannot reach the requested length.  Each job is
+sized before its first chain is drawn and refused above the caller's chain
+ceiling: by the exact closed-form count (rooted or not), or, where that count
+would take long to compute, by an O(1) lower bound that already exceeds the
+ceiling.  Three walkers take that walk from the same first supports.
+enumerate_chains and chain_lines stream the chains themselves (_chain_tuples),
+so a listing streams in constant memory; chain_lines formats each support once
+per listing, through a memo of at most LISTING_MEMO_SIZE supports that is
+dropped with the listing.  count_chains and group_by_size_vector walk the same
+chains without building them (_count_walk, _group_walk): every chain is still
+visited, one last component at a time, and no closed form is used.  The
+support lattice (HasseDiagram) is computed from m and written line by line,
+as DOT or as JSON.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -132,6 +137,21 @@ def _check_job(m: int, k: int, root: str | None, ceiling: int) -> None:
         )
 
 
+def _first_supports(m: int, k: int, root: str | None) -> Iterator[int]:
+    """The supports a chain of k steps may start from, in ascending order: none
+    when k is outside 0..m."""
+    full = (1 << m) - 1
+    if not 0 <= k <= m:
+        firsts: Iterable[int] = ()
+    elif root == "O":
+        firsts = (0,)
+    elif root == "J" and k == 0:
+        firsts = (full,)
+    else:
+        firsts = range(full + 1)
+    return (first for first in firsts if m - first.bit_count() >= k)
+
+
 def _chain_tuples(m: int, k: int, root: str | None) -> Iterator[tuple[int, ...]]:
     full = (1 << m) - 1
 
@@ -154,15 +174,81 @@ def _chain_tuples(m: int, k: int, root: str | None) -> Iterator[tuple[int, ...]]
             if m - nxt.bit_count() >= steps - 1:
                 yield from extend(nxt, steps - 1, prefix + (nxt,))
 
-    if root == "O":
-        firsts: Iterable[int] = (0,)
-    elif root == "J" and k == 0:
-        firsts = (full,)
-    else:
-        firsts = range(full + 1)
-    for first in firsts:
-        if m - first.bit_count() >= k:
-            yield from extend(first, k, (first,))
+    for first in _first_supports(m, k, root):
+        yield from extend(first, k, (first,))
+
+
+def _count_walk(m: int, k: int, root: str | None) -> int:
+    """The number of chains _chain_tuples yields, found by the same walk, one
+    last component at a time, without building the chains."""
+    full = (1 << m) - 1
+    j_rooted = root == "J"
+
+    def count(last: int, steps: int) -> int:
+        if steps == 0:
+            return 1
+        if j_rooted and steps == 1:
+            return 1 if last != full else 0
+        comp = full & ~last
+        n = 0
+        x = 0
+        if steps == 1:
+            while True:
+                x = (x - comp) & comp
+                if x == 0:
+                    return n
+                n += 1
+        while True:
+            x = (x - comp) & comp
+            if x == 0:
+                return n
+            nxt = last | x
+            if m - nxt.bit_count() >= steps - 1:
+                n += count(nxt, steps - 1)
+
+    return sum(count(first, k) for first in _first_supports(m, k, root))
+
+
+def _group_walk(m: int, k: int, root: str | None) -> Counter:
+    """The chains _chain_tuples yields, counted by size vector, found by the same
+    walk with the running sizes in place of the components."""
+    full = (1 << m) - 1
+    j_rooted = root == "J"
+    grouped: Counter = Counter()
+
+    def walk(last: int, steps: int, sizes: tuple[int, ...]) -> None:
+        if steps == 0:
+            grouped[sizes] += 1
+            return
+        if j_rooted and steps == 1:
+            if last != full:
+                grouped[sizes + (m,)] += 1
+            return
+        comp = full & ~last
+        x = 0
+        if steps == 1:
+            tally = [0] * (m + 1)
+            while True:
+                x = (x - comp) & comp
+                if x == 0:
+                    break
+                tally[(last | x).bit_count()] += 1
+            for size, n in enumerate(tally):
+                if n:
+                    grouped[sizes + (size,)] += n
+            return
+        while True:
+            x = (x - comp) & comp
+            if x == 0:
+                return
+            nxt = last | x
+            size = nxt.bit_count()
+            if m - size >= steps - 1:
+                walk(nxt, steps - 1, sizes + (size,))
+
+    for first in _first_supports(m, k, root):
+        walk(first, k, (first.bit_count(),))
+    return grouped
 
 
 def _checked_tuples(
@@ -170,8 +256,6 @@ def _checked_tuples(
 ) -> Iterator[tuple[int, ...]]:
     """Refuse an oversized job at the call, then stream its chains' component masks."""
     _check_job(m, k, root, ceiling)
-    if k < 0 or k > m:
-        return iter(())
     return _chain_tuples(m, k, root)
 
 
@@ -193,8 +277,12 @@ def count_chains(
     *,
     ceiling: int = DEFAULT_CHAIN_CEILING,
 ) -> int:
-    """Count chains by actually enumerating them (no closed form involved)."""
-    return sum(1 for _ in _checked_tuples(m, k, root, ceiling))
+    """Count chains by visiting every one of them: no closed form is used.
+
+    The walk is the one enumerate_chains takes, without building the chains.
+    """
+    _check_job(m, k, root, ceiling)
+    return _count_walk(m, k, root)
 
 
 def group_by_size_vector(
@@ -204,11 +292,12 @@ def group_by_size_vector(
     *,
     ceiling: int = DEFAULT_CHAIN_CEILING,
 ) -> dict[tuple[int, ...], int]:
-    """Chain counts partitioned by size vector, in ascending size-vector order."""
-    grouped = Counter(
-        tuple(c.bit_count() for c in t) for t in _checked_tuples(m, k, root, ceiling)
-    )
-    return dict(sorted(grouped.items()))
+    """Chain counts partitioned by size vector, in ascending size-vector order.
+
+    Every chain is visited, as count_chains visits it: no closed form is used.
+    """
+    _check_job(m, k, root, ceiling)
+    return dict(sorted(_group_walk(m, k, root).items()))
 
 
 def chain_lines(
@@ -242,9 +331,14 @@ class HasseDiagram:
         return range(1 << self.cell_count)
 
     @property
+    def _cell_bits(self) -> list[int]:
+        """Each cell's bit, in cell order: bit m-1 is cell 1."""
+        return [1 << p for p in reversed(range(self.cell_count))]
+
+    @property
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Every cover: nodes ascending, then absent cells in cell order (bit m-1 is cell 1)."""
-        cells = [1 << p for p in reversed(range(self.cell_count))]
+        """Every cover: nodes ascending, then absent cells in cell order."""
+        cells = self._cell_bits
         return ((node, node | bit) for node in self.nodes for bit in cells if not node & bit)
 
     def dot_lines(self) -> Iterator[str]:
@@ -261,6 +355,25 @@ class HasseDiagram:
 
     def to_dot(self) -> str:
         return "".join(self.dot_lines())
+
+    def json_chunks(self) -> Iterator[str]:
+        """The text of json.dumps(self.to_json_dict(), indent=2) + "\n", one node at a time."""
+        m = self.cell_count
+        full = (1 << m) - 1
+        names = [json.dumps(mask_to_bits(n, m)) for n in self.nodes]
+        yield f'{{\n  "m": {m},\n  "nodes": [\n'
+        for node in self.nodes:
+            label = json.dumps(support_label(node, m))
+            end = "\n" if node == full else ",\n"
+            yield f'    {{\n      "bits": {names[node]},\n      "label": {label}\n    }}{end}'
+        yield '  ],\n  "adjacency": {\n'
+        cells = self._cell_bits
+        for node in self.nodes:
+            ups = ",\n      ".join([names[node | bit] for bit in cells if not node & bit])
+            value = f"[\n      {ups}\n    ]" if ups else "[]"
+            end = "\n" if node == full else ",\n"
+            yield f"    {names[node]}: {value}{end}"
+        yield "  }\n}\n"
 
     def to_json_dict(self) -> dict:
         m = self.cell_count

@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 import cutchains
-from cutchains.cli import MAX_INPUT_BYTES, NAIVE_MAX_CELLS, _json_array_chunks, main
+from cutchains import cli
+from cutchains.cli import (
+    MAX_INPUT_BYTES,
+    MAX_SIGNATURE_CELLS,
+    NAIVE_MAX_CELLS,
+    _json_array_chunks,
+    main,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -143,6 +150,40 @@ class TestNaiveLimit:
         assert NAIVE_MAX_CELLS == 16 * 16
         _, ie, _ = run_cli(capsys, "count", "--n", "16", "--method", "ie")
         assert run_cli(capsys, "count", "--n", "16", "--method", "naive") == (0, ie, "")
+
+
+class TestSignatureLimit:
+    """A signature of (distinct positive values + 1) * n^2 cells above
+    MAX_SIGNATURE_CELLS is refused before any cut is built."""
+
+    def test_order_70_of_distinct_values_refused_at_once(self, capsys, tmp_path, monkeypatch):
+        n = 70
+        rows = (" ".join(f"{i * n + j + 1}/{n * n}" for j in range(n)) for i in range(n))
+        matrix = tmp_path / "distinct.txt"
+        matrix.write_text("\n".join(rows) + "\n")
+        assert (n * n + 1) * n * n > MAX_SIGNATURE_CELLS
+
+        def no_cuts(_):
+            raise AssertionError("a cut was built")
+
+        monkeypatch.setattr(cli, "signature", no_cuts)
+        target = tmp_path / "signature.json"
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "signature", "--input", str(matrix), "--output", str(target)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == "" and not target.exists()
+        assert err.startswith("infeasible job:") and err.count("\n") == 1
+        assert f"{(n * n + 1) * n * n} cells" in err
+
+    def test_limit_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        matrix = tmp_path / "f.txt"
+        matrix.write_text("0.3 0.7\n0.7 1\n")  # 3 distinct positive values, 4 cells
+        monkeypatch.setattr(cli, "MAX_SIGNATURE_CELLS", 16)
+        assert run_cli(capsys, "signature", "--input", str(matrix))[0] == 0
+        monkeypatch.setattr(cli, "MAX_SIGNATURE_CELLS", 15)
+        assert run_cli(capsys, "signature", "--input", str(matrix))[0] == 3
 
 
 class TestTable:
@@ -555,6 +596,12 @@ class TestLattice:
         assert code == 0
         assert json.loads(out)["adjacency"] == {"0": ["1"], "1": []}
 
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_json_bytes(self, capsys, m):
+        code, out, _ = run_cli(capsys, "lattice", "--m", str(m), "--format", "json")
+        diagram = cutchains.hasse_export(m)
+        assert (code, out) == (0, json.dumps(diagram.to_json_dict(), indent=2) + "\n")
+
     def test_infeasible(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "lattice", "--m", "20")
         assert code == 3
@@ -671,6 +718,38 @@ class TestWriteFailures:
         result = subprocess.run(command, capture_output=True, text=True, env=env)
         assert result.stdout == ""
         self.assert_write_error(result.returncode, result.stderr)
+
+    @pytest.mark.parametrize("argv", [["count", "--n", "2"], ["--help"], ["enumerate", "--help"]])
+    def test_stdout_closed(self, argv):
+        command, env = buffered_cli_command(*argv)
+        # started with file descriptor 1 closed, the interpreter has no sys.stdout
+        result = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", *command],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        self.assert_write_error(result.returncode, result.stderr)
+        assert result.stderr == "error: cannot write stdout: it is closed\n"
+
+    @needs_full_device
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_help_on_full_device(self, buffered):
+        # argparse ignores a failed write of its help; the CLI reports it
+        command, env = buffered_cli_command("--help")
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open(FULL_DEVICE, "w") as full:
+            result = subprocess.run(
+                command, stdout=full, stderr=subprocess.PIPE, text=True, env=env
+            )
+        self.assert_write_error(result.returncode, result.stderr)
+
+    def test_help_still_written(self):
+        command, env = buffered_cli_command("count", "--help")
+        result = subprocess.run(command, capture_output=True, text=True, env=env)
+        assert result.returncode == 0 and result.stderr == ""
+        assert result.stdout.startswith("usage: cutchains count [-h] --n N")
 
     @pytest.mark.parametrize(
         "argv,first",

@@ -1,19 +1,25 @@
+import json
 import math
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cutchains as cc
 from cutchains import InfeasibleJobError, enumeration
 from helpers import (
     bits_to_set,
     brute_force_chains,
+    count_chains_top_down,
     hasse_dot_oracle,
     hasse_edge_oracle,
     hasse_json_oracle,
     record_to_sets,
+    size_vector_sums,
 )
 
 
@@ -271,6 +277,57 @@ class TestGroupBySizeVector:
             assert total_groups == 2 ** (m + 1) - 1
 
 
+def tuple_walk(m, k, root):
+    """The chains _chain_tuples yields, as the counting walks' oracle."""
+    return list(enumeration._chain_tuples(m, k, root))
+
+
+class TestCountingWalks:
+    """count_chains and group_by_size_vector walk without building chains; the
+    walk that builds them is their oracle, and the closed forms a second one."""
+
+    @pytest.mark.parametrize("root", [None, "O", "J"])
+    @pytest.mark.parametrize("m", range(8))
+    def test_match_tuple_walk(self, m, root):
+        for k in range(-1, m + 2):
+            chains = tuple_walk(m, k, root)
+            assert cc.count_chains(m, k, root) == len(chains)
+            sizes = Counter(tuple(c.bit_count() for c in chain) for chain in chains)
+            assert cc.group_by_size_vector(m, k, root) == dict(sorted(sizes.items()))
+
+    @pytest.mark.parametrize(
+        "m,k,root", [(8, 3, None), (9, 3, "O"), (9, 3, "J"), (12, 1, "O"), (7, 3, None)]
+    )
+    def test_benchmark_counts(self, m, k, root):
+        count = cc.count_chains(m, k, root)
+        assert count == cc.chain_count_ie(m, k, root)
+        assert count == size_vector_sums(m, root)[k]
+
+    def test_benchmark_groups(self):
+        groups = cc.group_by_size_vector(8, 2)
+        assert list(groups) == [
+            (a, b, c) for a in range(9) for b in range(a + 1, 9) for c in range(b + 1, 9)
+        ]
+        for sizes, count in groups.items():
+            assert count == count_chains_top_down(cc.SizeVector(8, sizes))
+        assert sum(groups.values()) == cc.chain_count_ie(8, 2) == size_vector_sums(8)[2]
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(min_value=0, max_value=8).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                st.integers(min_value=-1, max_value=m + 1),
+                st.sampled_from([None, "O", "J"]),
+            )
+        )
+    )
+    def test_count_equals_group_total_and_closed_form(self, job):
+        m, k, root = job
+        total = sum(cc.group_by_size_vector(m, k, root).values())
+        assert cc.count_chains(m, k, root) == total == cc.chain_count_ie(m, k, root)
+
+
 class TestHasse:
     @pytest.mark.parametrize("m,nodes,edges", [(4, 16, 32), (1, 2, 1), (2, 4, 4)])
     def test_counts(self, m, nodes, edges):
@@ -346,4 +403,22 @@ class TestHasse:
         finally:
             tracemalloc.stop()
         assert count == 2 + 2**16 + 16 * 2**15 + 1
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("m", range(8))
+    def test_json_chunks_match_json_dumps(self, m):
+        diagram = cc.hasse_export(m)
+        text = "".join(diagram.json_chunks())
+        assert text == json.dumps(diagram.to_json_dict(), indent=2) + "\n"
+
+    def test_json_chunks_stream(self):
+        # the whole m = 16 text is 21.6 MB; only the 2^16 quoted node names are held
+        diagram = cc.hasse_export(16)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in diagram.json_chunks())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 3 + 2 * 2**16
         assert peak < 8 * 2**20
