@@ -25,9 +25,10 @@ EXIT_INFEASIBLE = 3
 EXIT_MALFORMED = 4
 
 
-# Largest input file read, in bytes.  A 4 MiB text corpus of about 35,000
-# order-6 matrices with three-digit entries takes `classify` about 20 s and
-# 240 MiB peak RSS (Python 3.11, one process).
+# Largest input file read, in bytes.  A 4 MiB text corpus of 32,000 order-6
+# matrices with short entries takes `classify` about 18 s and 300 MiB peak RSS
+# to parse and classify, and is then refused by MAX_SIGNATURE_CELLS (Python
+# 3.11, one process).
 MAX_INPUT_BYTES = 4 * 2**20
 
 # Largest cell count (n = 16) counted by nested summation, whose table is O(m^3)
@@ -39,7 +40,9 @@ NAIVE_MAX_CELLS = 256
 # positive values has at most p + 1 cuts of n^2 bits each.  An order-56 matrix
 # of 3,136 distinct values (9.8 million cells) takes `signature` 0.27 s and
 # 46 MiB peak RSS for 9.8 MB of output, and an order-70 one (24 million cells)
-# 0.39 s and 88 MiB (Python 3.11, one process).
+# 0.39 s and 88 MiB (Python 3.11, one process).  `classify` writes each class's
+# k + 1 cuts and its representative, so it is refused above this many cells
+# summed over its classes: the order-70 matrix alone is.
 MAX_SIGNATURE_CELLS = 10**7
 
 
@@ -244,6 +247,12 @@ def _cmd_classify(args) -> int:
         result = classify_corpus(corpus)
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
+    cells = sum(len(cls.signature.cuts) for cls in result.classes) * result.order**2
+    if cells > MAX_SIGNATURE_CELLS:
+        raise InfeasibleJobError(
+            f"the class signatures of an order-{result.order} corpus have {cells} cells "
+            f"in all, above the limit of {MAX_SIGNATURE_CELLS}"
+        )
     # streamed one class at a time, so the report is never held whole
     _emit(_json_array_chunks(cls.to_json_dict() for cls in result.classes), args.output)
     return EXIT_OK

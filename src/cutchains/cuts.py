@@ -182,52 +182,50 @@ class ChainSignature:
         }
 
 
-def _positive_ranks_and_cuts(
-    f: FuzzyMatrix, pattern: _RankPattern
-) -> tuple[range, tuple[CrispMatrix, ...]]:
-    """The ranks of f's positive values, descending, and the cut at each, ascending.
+def _cut_masks(order: int, pattern: _RankPattern) -> tuple[int, ...]:
+    """The masks of the cuts at the distinct positive values, ascending under inclusion.
 
-    When no entry equals 1 the chain starts with the empty cut, which no rank holds.
+    The cut at a value is the union of the cells of every value >= it.  When no
+    entry equals 1 the chain starts with the empty cut, which no rank holds.
     """
     cells = [0] * pattern.count
-    bit = 1 << f.order * f.order
+    bit = 1 << order * order
     for r in pattern.ranks:
         bit >>= 1
         cells[r] |= bit
-    # 0 is the least value, so the positive values are the ranks above its own
-    positive = range(pattern.count - 1, pattern.zero, -1)
-    cuts = [] if pattern.one >= 0 else [CrispMatrix.zeros(f.order)]
+    masks = [] if pattern.one >= 0 else [0]
     mask = 0
-    for r in positive:
+    # 0 is the least value, so the positive values are the ranks above its own
+    for r in range(pattern.count - 1, pattern.zero, -1):
         mask |= cells[r]
-        cuts.append(CrispMatrix(f.order, mask))
-    return positive, tuple(cuts)
+        masks.append(mask)
+    return tuple(masks)
 
 
 def cut_chain(f: FuzzyMatrix) -> CutChain:
     """Decompose f into its chain of cuts, keyed by the realized levels.
 
     The cuts at the distinct positive entry values, ascending under inclusion,
-    from one scan of the entries' ranks: the cut at a value is the union of the
-    cells of every value >= it.  Each level is one of f's own entries.  When no
-    entry equals 1 the empty cut is realized on (max value, 1] and is recorded
-    at the nominal level 1; the all-zero matrix decomposes to that single
-    empty cut.
+    from one scan of the entries' ranks.  Each level is one of f's own entries.
+    When no entry equals 1 the empty cut is realized on (max value, 1] and is
+    recorded at the nominal level 1; the all-zero matrix decomposes to that
+    single empty cut.
     """
     pattern = _rank_pattern(f)
-    positive, cuts = _positive_ranks_and_cuts(f, pattern)
     value_of = [ZERO] * pattern.count
     for v, r in zip(f.values(), pattern.ranks):
         value_of[r] = v
-    levels = [value_of[r] for r in positive]
+    levels = [value_of[r] for r in range(pattern.count - 1, pattern.zero, -1)]
     if pattern.one < 0:
         levels.insert(0, ONE)
+    cuts = tuple(CrispMatrix(f.order, mask) for mask in _cut_masks(f.order, pattern))
     return CutChain(f.order, tuple(levels), cuts)
 
 
 def signature(f: FuzzyMatrix) -> ChainSignature:
     """Canonical equivalence-class signature: the cut chain with levels discarded."""
-    return ChainSignature(f.order, _positive_ranks_and_cuts(f, _rank_pattern(f))[1])
+    masks = _cut_masks(f.order, _rank_pattern(f))
+    return ChainSignature(f.order, tuple(CrispMatrix(f.order, mask) for mask in masks))
 
 
 def reconstruct(chain: CutChain) -> FuzzyMatrix:
@@ -308,11 +306,11 @@ class Classification:
 def classify_corpus(matrices: Iterable[FuzzyMatrix]) -> Classification:
     """Partition same-order matrices into equivalence classes.
 
-    Classes are keyed by signature and reported in a canonical order (by k,
-    then cut masks, which order as the cut bitstrings do).  Every member is
-    re-checked against its class representative with the direct entrywise
-    procedure (the representative's rank pattern is computed once per class),
-    so the two decision routes cross-validate on every call.
+    Each member's ranks are computed once: the cut masks read off them key the
+    grouping, and the ranks themselves re-check the member against its class
+    representative (the direct entrywise procedure), so the two decision routes
+    cross-validate on every call.  Classes come by k, then cut masks (the cut
+    bitstrings' order), and each builds its signature and representative once.
     """
     corpus = list(matrices)
     if not corpus:
@@ -322,17 +320,19 @@ def classify_corpus(matrices: Iterable[FuzzyMatrix]) -> Classification:
         if f.order != order:
             raise ValueError(f"mixed orders in corpus: {f.order} vs {order}")
 
-    by_signature: dict[ChainSignature, list[int]] = {}
-    for idx, f in enumerate(corpus):
-        by_signature.setdefault(signature(f), []).append(idx)
+    patterns = [_rank_pattern(f) for f in corpus]
+    by_masks: dict[tuple[int, ...], list[int]] = {}
+    for idx, pattern in enumerate(patterns):
+        by_masks.setdefault(_cut_masks(order, pattern), []).append(idx)
 
     classes = []
-    for sig in sorted(by_signature, key=lambda s: (s.k, tuple(c.mask for c in s.cuts))):
+    for masks in sorted(by_masks, key=lambda masks: (len(masks), masks)):
+        sig = ChainSignature(order, tuple(CrispMatrix(order, mask) for mask in masks))
         rep = canonical_representative(sig)
         rep_pattern = _rank_pattern(rep)
-        members = tuple(by_signature[sig])
+        members = tuple(by_masks[masks])
         for idx in members:
-            if _rank_pattern(corpus[idx]) != rep_pattern:
+            if patterns[idx] != rep_pattern:
                 raise RuntimeError(
                     f"classification disagreement on corpus index {idx}: "
                     "cut-chain grouping contradicts the entrywise relation"

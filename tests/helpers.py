@@ -267,6 +267,19 @@ def near_matrix_pairs(draw, max_order=2):
     return _near_matrix(draw, n, pool), _near_matrix(draw, n, pool)
 
 
+@st.composite
+def corpora(draw, max_order=3):
+    """Nonempty same-order corpora of plain matrices and matrices whose entries
+    often share a float, with order-preserving remaps of some members, so that
+    classes often have several members."""
+    n = draw(st.integers(min_value=0, max_value=max_order))
+    pool = draw(near_pools())
+    near = st.composite(lambda draw: _near_matrix(draw, n, pool))()
+    corpus = draw(st.lists(st.one_of(matrix_of_order(n), near), min_size=1, max_size=8))
+    picks = draw(st.lists(st.sampled_from(corpus), max_size=4))
+    return corpus + [order_preserving_remap(f) for f in picks]
+
+
 def matrix_pairs(max_order=3):
     """Same-order pairs of fuzzy matrices."""
     return st.integers(min_value=0, max_value=max_order).flatmap(

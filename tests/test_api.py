@@ -1,6 +1,9 @@
-"""The public surface: each module's __all__ and the package's re-exports agree."""
+"""The public surface: each module's __all__ and the package's re-exports agree,
+and the names the benchmark reaches by attribute exist."""
 
+import ast
 import types
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ import cutchains
 from cutchains import counting, cuts, enumeration, matrices
 
 MODULES = [counting, cuts, enumeration, matrices]
+BENCHMARK_RUNNER = Path(__file__).resolve().parent.parent / "cutbench" / "run.py"
 
 
 def reexported(module):
@@ -33,3 +37,29 @@ def test_package_exports_nothing_else():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set().union(*map(reexported, MODULES))
+
+
+def benchmark_inner_calls():
+    """The (module, attr) pairs of the benchmark runner's INNER_CALLS, read
+    from its source without importing it."""
+    for node in ast.parse(BENCHMARK_RUNNER.read_text(encoding="utf-8")).body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["INNER_CALLS"]:
+            return [entry[:2] for entry in ast.literal_eval(node.value)]
+    raise AssertionError(f"no INNER_CALLS in {BENCHMARK_RUNNER}")
+
+
+def test_benchmark_wrapped_names_exist():
+    # the traced benchmark wraps each of these by getattr, and its classify
+    # workloads call the two Classification methods
+    calls = benchmark_inner_calls()
+    assert calls
+    names = [*calls, ("cuts", "Classification.to_json_list"), ("cuts", "Classification.__len__")]
+    missing = []
+    for module, dotted in names:
+        target = getattr(cutchains, module)
+        for attr in dotted.split("."):
+            target = getattr(target, attr, None)
+        if not callable(target):
+            missing.append(f"{module}.{dotted}")
+    assert missing == []

@@ -186,6 +186,35 @@ class TestSignatureLimit:
         assert run_cli(capsys, "signature", "--input", str(matrix))[0] == 3
 
 
+class TestClassifyLimit:
+    """A classification whose class signatures hold more than MAX_SIGNATURE_CELLS
+    cells in all, (k + 1) * n^2 per class, is refused before its report is written."""
+
+    def test_order_70_of_distinct_values_refused(self, capsys, tmp_path):
+        n = 70
+        rows = (" ".join(f"{i * n + j + 1}/{n * n}" for j in range(n)) for i in range(n))
+        corpus = tmp_path / "distinct.txt"
+        corpus.write_text("\n".join(rows) + "\n")
+        target = tmp_path / "classes.json"
+        code, out, err = run_cli(
+            capsys, "classify", "--input", str(corpus), "--output", str(target)
+        )
+        assert code == 3 and out == "" and not target.exists()
+        assert err.startswith("infeasible job:") and err.count("\n") == 1
+        assert f"{n * n * n * n} cells" in err
+
+    def test_limit_is_inclusive_and_counts_each_class_once(self, capsys, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus.txt"
+        # classes of 3 and 2 cuts of 4 cells; the third matrix joins the first class
+        corpus.write_text("0.3 0.7\n0.7 1\n\n0.5 0.5\n0.5 0.5\n\n0.1 0.5\n0.5 1\n")
+        monkeypatch.setattr(cli, "MAX_SIGNATURE_CELLS", 20)
+        code, out, _ = run_cli(capsys, "classify", "--input", str(corpus))
+        assert code == 0 and len(json.loads(out)) == 2
+        monkeypatch.setattr(cli, "MAX_SIGNATURE_CELLS", 19)
+        code, out, err = run_cli(capsys, "classify", "--input", str(corpus))
+        assert code == 3 and out == "" and "20 cells" in err
+
+
 class TestTable:
     def test_csv_matches_golden(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--max-n", "3")

@@ -9,6 +9,7 @@ import cutchains as cc
 from cutchains import CrispMatrix, FuzzyMatrix
 from cutchains import cuts
 from helpers import (
+    corpora,
     equivalent_pairwise,
     fuzzy_complement,
     fuzzy_matrices,
@@ -283,11 +284,29 @@ class TestClassification:
         assert keys == sorted(keys)
 
     def test_every_member_is_rechecked(self, monkeypatch):
-        # a signature that lumps [[1]] in with [[0.5]]: only the re-check can see it
-        shared = cc.signature(M(["0.5"]))
-        monkeypatch.setattr(cuts, "signature", lambda f: shared)
+        # cut masks that lump [[1]] in with [[0.5]]: only the re-check can see it
+        shared = cuts._cut_masks(1, cuts._rank_pattern(M(["0.5"])))
+        monkeypatch.setattr(cuts, "_cut_masks", lambda order, pattern: shared)
         with pytest.raises(RuntimeError, match="classification disagreement on corpus index 1"):
             cc.classify_corpus([M(["0.5"]), M(["1"])])
+
+    @given(corpora())
+    def test_agrees_with_per_matrix_routes(self, corpus):
+        result = cc.classify_corpus(corpus)
+        keys = [(k.signature.k, tuple(c.mask for c in k.signature.cuts)) for k in result.classes]
+        assert keys == sorted(set(keys))
+        members = [idx for klass in result.classes for idx in klass.members]
+        assert sorted(members) == list(range(len(corpus)))
+        class_of = {}
+        for number, klass in enumerate(result.classes):
+            assert list(klass.members) == sorted(klass.members)
+            assert klass.representative == cc.canonical_representative(klass.signature)
+            for idx in klass.members:
+                assert cc.signature(corpus[idx]) == klass.signature
+                class_of[idx] = number
+        for i, a in enumerate(corpus):
+            for j in range(i):
+                assert cc.equivalent_direct(a, corpus[j]) == (class_of[i] == class_of[j])
 
     def test_rejects_empty_and_mixed(self):
         with pytest.raises(ValueError):
