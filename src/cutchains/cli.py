@@ -7,6 +7,7 @@ Exit codes: 0 success (or "equivalent"), 1 inequivalent, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from typing import Iterable, Iterator
 from . import counting, enumeration
 from .cuts import classify_corpus, equivalent_direct, signature
 from .enumeration import InfeasibleJobError
-from .matrices import FuzzyMatrix
+from .matrices import MAX_DIGITS, FuzzyMatrix
 
 EXIT_OK = 0
 EXIT_INEQUIVALENT = 1
@@ -37,12 +38,13 @@ MAX_INPUT_BYTES = 4 * 2**20
 NAIVE_MAX_CELLS = 256
 
 # Largest signature written, in cells: a matrix of order n with p distinct
-# positive values has at most p + 1 cuts of n^2 bits each.  An order-56 matrix
-# of 3,136 distinct values (9.8 million cells) takes `signature` 0.27 s and
-# 46 MiB peak RSS for 9.8 MB of output, and an order-70 one (24 million cells)
-# 0.39 s and 88 MiB (Python 3.11, one process).  `classify` writes each class's
-# k + 1 cuts and its representative, so it is refused above this many cells
-# summed over its classes: the order-70 matrix alone is.
+# positive values has p cuts of n^2 bits each, p + 1 when no entry is 1.  An
+# order-56 matrix of 3,136 distinct values (9.8 million cells) takes `signature`
+# 0.27 s and 46 MiB peak RSS for 9.8 MB of output, and an order-70 one (24
+# million cells) 0.39 s and 88 MiB (Python 3.11, one process).  `signature` and
+# `classify` refuse a larger matrix before any cut is built.  `classify` writes
+# each class's k + 1 cuts and its representative, so it is also refused above
+# this many cells summed over its classes.
 MAX_SIGNATURE_CELLS = 10**7
 
 
@@ -81,14 +83,24 @@ def _emit(text: str | Iterable[str], output: str | None) -> None:
         raise ValueError(f"cannot write {output or 'stdout'}: {exc}") from exc
 
 
-def _json_array_chunks(items: Iterable) -> Iterator[str]:
-    """The text of json.dumps(list(items), indent=2) + "\n", one chunk per item."""
-    opener = "[\n  "
+def _json_array_chunks(items: Iterable, margin: str = "") -> Iterator[str]:
+    """The text of json.dumps(list(items), indent=2) + "\n", one chunk per item,
+    with every line after the first indented by margin."""
+    pad = margin + "  "  # an indent-2 array indents its items' lines by two spaces
+    opener = "[\n" + pad
     for item in items:
-        # an indent-2 array indents each item's lines by two more spaces
-        yield opener + json.dumps(item, indent=2).replace("\n", "\n  ")
-        opener = ",\n  "
-    yield "[]\n" if opener == "[\n  " else "\n]\n"
+        yield opener + json.dumps(item, indent=2).replace("\n", "\n" + pad)
+        opener = ",\n" + pad
+    yield "[]\n" if opener[0] == "[" else f"\n{margin}]\n"
+
+
+def _table_json_chunks(table: counting.CountTable) -> Iterator[str]:
+    """The text of json.dumps(table.to_json_dict(), indent=2) + "\n", one chunk per row."""
+    empty = json.dumps({"root": table.root, "max_n": table.max_n, "rows": []}, indent=2)
+    yield empty.removesuffix("[]\n}")
+    rows = ({"n": row.n, "counts": list(row.counts), "total": row.total} for row in table.rows)
+    yield from _json_array_chunks(rows, "  ")
+    yield "}\n"
 
 
 def _read_input(path: str, fmt: str, what: str, parse_json, parse_text):
@@ -133,16 +145,8 @@ def _corpus_from_json(data) -> list[FuzzyMatrix]:
 
 
 def _corpus_from_text(text: str) -> list[FuzzyMatrix]:
-    blocks, current = [], []
-    for line in text.splitlines():
-        if line.strip():
-            current.append(line)
-        elif current:
-            blocks.append("\n".join(current))
-            current = []
-    if current:
-        blocks.append("\n".join(current))
-    return [FuzzyMatrix.parse_text(block) for block in blocks]
+    runs = itertools.groupby(text.splitlines(), key=lambda line: bool(line.strip()))
+    return [FuzzyMatrix.parse_text("\n".join(lines)) for filled, lines in runs if filled]
 
 
 def _load_corpus(path: str, fmt: str) -> list[FuzzyMatrix]:
@@ -154,28 +158,27 @@ def _check_count_job(m: int, method: str, k: int | None = None, root: str | None
 
     Nested summation is refused above NAIVE_MAX_CELLS.
 
-    The interpreter converts at most sys.get_int_max_str_digits() digits (0 for
-    no limit).  Counts are bounded without computing them: a chain of length k
-    is a map from the m cells into k+2 slots (k+1 rooted), so there are at
-    most (k+2)^m of them, and the total over every k is at most 4*Fubini(m),
-    where Fubini(m) = sum_j j^m / 2^(j+1) < m!/ln(2)^(m+1).
+    A count is printed only up to MAX_DIGITS digits.  Counts are bounded
+    without computing them: a chain of length k is a map from the m cells into
+    k+2 slots (k+1 rooted), so there are at most (k+2)^m of them, and the total
+    over every k is at most 4*Fubini(m), where
+    Fubini(m) = sum_j j^m / 2^(j+1) < m!/ln(2)^(m+1).
     """
     if counting._pick_method(method) == "naive" and m > NAIVE_MAX_CELLS:
         raise InfeasibleJobError(
             f"nested summation over m={m} cells is above its limit of {NAIVE_MAX_CELLS} cells"
         )
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or (k is not None and not 0 <= k <= m):
+    if k is not None and not 0 <= k <= m:
         return
     ln_bound = math.log(4) + math.lgamma(m + 1) - (m + 1) * math.log(math.log(2))
     log10_bound = ln_bound / math.log(10)
     if k is not None:
         log10_bound = min(log10_bound, m * math.log10(k + (2 if root is None else 1)))
     digits = int(log10_bound) + 1
-    if digits > limit:
+    if digits > MAX_DIGITS:
         raise InfeasibleJobError(
             f"a count over m={m} cells may have {digits} digits, "
-            f"above the interpreter's limit of {limit} for printing an integer"
+            f"above the limit of {MAX_DIGITS} for printing an integer"
         )
 
 
@@ -200,7 +203,7 @@ def _cmd_table(args) -> int:
     if args.format == "csv":
         _emit(table.csv_lines(), args.output)
     else:
-        _emit(json.dumps(table.to_json_dict(), indent=2) + "\n", args.output)
+        _emit(_table_json_chunks(table), args.output)
     return EXIT_OK
 
 
@@ -241,8 +244,25 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _check_signature_cells(matrix: FuzzyMatrix) -> None:
+    """Refuse a matrix whose signature, one n^2-cell cut per distinct positive
+    value and one more when no entry is 1, has over MAX_SIGNATURE_CELLS cells."""
+    cells = matrix.order**2
+    if (cells + 1) * cells <= MAX_SIGNATURE_CELLS:  # no signature of this order is larger
+        return
+    values = set(matrix.values())
+    cells *= len(values - {0}) + (1 not in values)
+    if cells > MAX_SIGNATURE_CELLS:
+        raise InfeasibleJobError(
+            f"the signature of an order-{matrix.order} matrix has {cells} cells, "
+            f"above the limit of {MAX_SIGNATURE_CELLS}"
+        )
+
+
 def _cmd_classify(args) -> int:
     corpus = _load_corpus(args.input, args.input_format)
+    for matrix in corpus:
+        _check_signature_cells(matrix)
     try:
         result = classify_corpus(corpus)
     except ValueError as exc:
@@ -270,13 +290,7 @@ def _cmd_equivalent(args) -> int:
 
 def _cmd_signature(args) -> int:
     matrix = _load_matrix(args.input, args.input_format)
-    positive = len({value for value in matrix.values() if value})
-    cells = (positive + 1) * matrix.order**2
-    if cells > MAX_SIGNATURE_CELLS:
-        raise InfeasibleJobError(
-            f"the signature of an order-{matrix.order} matrix with {positive} distinct "
-            f"positive values may have {cells} cells, above the limit of {MAX_SIGNATURE_CELLS}"
-        )
+    _check_signature_cells(matrix)
     _emit(json.dumps(signature(matrix).to_json_dict(), indent=2) + "\n", args.output)
     return EXIT_OK
 
@@ -371,6 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    caller_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS)
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -384,6 +400,8 @@ def main(argv=None) -> int:
         # e.g. conflicting enumerate flags, or an output or help text that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.set_int_max_str_digits(caller_limit)
 
 
 if __name__ == "__main__":

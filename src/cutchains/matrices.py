@@ -16,6 +16,7 @@ from typing import Iterator
 __all__ = [
     "CrispMatrix",
     "FuzzyMatrix",
+    "MAX_DIGITS",
     "bits_to_mask",
     "format_value",
     "mask_to_bits",
@@ -26,20 +27,22 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-# Fraction expands a decimal exponent in full, so its size is bounded like the
-# mantissa's digit count, which CPython already caps at this many digits.
-_MAX_EXPONENT = 4300
+# The most digits of one integer that the CLI reads or prints: `cli.main` pins
+# the interpreter's int_max_str_digits to it (CPython's default) for the call,
+# whatever the caller set.  The library follows its host interpreter's setting,
+# but bounds a decimal exponent by it too, since Fraction expands one in full.
+MAX_DIGITS = 4300
 
 
 def parse_value(text: str) -> Fraction:
     """Parse a membership value from a decimal ("0.25") or fraction ("1/4") string."""
     if "e" in text or "E" in text:
         try:
-            too_large = abs(int(text.lower().partition("e")[2])) > _MAX_EXPONENT
+            too_large = abs(int(text.lower().partition("e")[2])) > MAX_DIGITS
         except ValueError:
             too_large = False  # malformed: Fraction rejects it below
         if too_large:
-            raise ValueError(f"exponent of {text!r} exceeds {_MAX_EXPONENT} in magnitude")
+            raise ValueError(f"exponent of {text!r} exceeds {MAX_DIGITS} in magnitude")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,12 @@ def cli_command(*argv):
     package_root = str(Path(cutchains.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return [sys.executable, "-m", "cutchains", *argv], {**os.environ, "PYTHONPATH": path}
+
+
+def distinct_values_text(n):
+    """An order-n matrix of the n^2 distinct values 1/n^2, 2/n^2, ..., 1, as text."""
+    rows = (" ".join(f"{i * n + j + 1}/{n * n}" for j in range(n)) for i in range(n))
+    return "\n".join(rows) + "\n"
 
 
 class TestCount:
@@ -88,14 +95,8 @@ class TestCount:
 
 
 class TestPrintLimit:
-    """Counts longer than sys.get_int_max_str_digits() are refused before counting."""
-
-    @pytest.fixture(autouse=True)
-    def default_limit(self):
-        previous = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)  # the interpreter's default
-        yield
-        sys.set_int_max_str_digits(previous)
+    """Counts longer than MAX_DIGITS digits are refused before counting, whatever
+    the interpreter's own limit."""
 
     def test_longest_printable_total_served(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--n", "38")
@@ -121,10 +122,53 @@ class TestPrintLimit:
         code, out, _ = run_cli(capsys, "count", "--n", "39", "--k", "5")
         assert code == 0 and len(out) == 1286 + 1
 
-    def test_follows_the_interpreter_limit(self, capsys):
-        sys.set_int_max_str_digits(640)
-        assert run_cli(capsys, "count", "--n", "16")[0] == 0  # 549 digits
-        assert run_cli(capsys, "count", "--n", "18")[0] == 3
+    def test_independent_of_the_interpreter_limit(self, capsys):
+        caller_limit = sys.get_int_max_str_digits()
+        try:
+            for limit in (640, 0):
+                sys.set_int_max_str_digits(limit)
+                code, out, _ = run_cli(capsys, "count", "--n", "38")
+                assert code == 0 and len(out) == 4168 + 1
+                assert sys.get_int_max_str_digits() == limit
+                for argv in (["count", "--n", "39"], ["count", "--n", "2000", "--k", "1"]):
+                    start = time.perf_counter()
+                    code, out, err = run_cli(capsys, *argv)
+                    assert time.perf_counter() - start < 1.0
+                    assert code == 3 and out == "" and err.startswith("infeasible job:")
+                    assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(caller_limit)
+
+
+class TestUnlimitedInterpreter:
+    """With the interpreter's digit limit off (PYTHONINTMAXSTRDIGITS=0), the CLI
+    still bounds every integer it reads or prints at MAX_DIGITS digits, so each
+    of these jobs, which would take seconds to minutes, is refused at once."""
+
+    @staticmethod
+    def run_unlimited(*argv):
+        command, env = cli_command(*argv)
+        env["PYTHONINTMAXSTRDIGITS"] = "0"
+        return subprocess.run(command, capture_output=True, text=True, env=env, timeout=5)
+
+    @staticmethod
+    def assert_refused(result, code, prefix):
+        assert (result.returncode, result.stdout) == (code, "")
+        assert result.stderr.startswith(prefix) and result.stderr.count("\n") == 1
+
+    def test_long_mantissa_is_malformed(self, tmp_path):
+        matrix = tmp_path / "mantissa.txt"
+        matrix.write_text("0." + "1" * 10**6 + "\n")
+        self.assert_refused(self.run_unlimited("signature", "--input", str(matrix)), 4, "error:")
+
+    def test_long_json_integer_is_malformed(self, tmp_path):
+        matrix = tmp_path / "order.json"
+        matrix.write_text('{"n": 1' + "0" * 10**6 + ', "entries": [["0.5"]]}\n')
+        self.assert_refused(self.run_unlimited("signature", "--input", str(matrix)), 4, "error:")
+
+    def test_long_sequence_is_infeasible(self):
+        result = self.run_unlimited("sequence", "--max-n", "45")
+        self.assert_refused(result, 3, "infeasible job:")
 
 
 class TestNaiveLimit:
@@ -153,15 +197,15 @@ class TestNaiveLimit:
 
 
 class TestSignatureLimit:
-    """A signature of (distinct positive values + 1) * n^2 cells above
-    MAX_SIGNATURE_CELLS is refused before any cut is built."""
+    """A signature of more than MAX_SIGNATURE_CELLS cells, n^2 per distinct
+    positive value and n^2 more when no entry is 1, is refused before any cut
+    is built."""
 
     def test_order_70_of_distinct_values_refused_at_once(self, capsys, tmp_path, monkeypatch):
         n = 70
-        rows = (" ".join(f"{i * n + j + 1}/{n * n}" for j in range(n)) for i in range(n))
         matrix = tmp_path / "distinct.txt"
-        matrix.write_text("\n".join(rows) + "\n")
-        assert (n * n + 1) * n * n > MAX_SIGNATURE_CELLS
+        matrix.write_text(distinct_values_text(n))
+        assert n**4 > MAX_SIGNATURE_CELLS  # n^2 values, 1 among them
 
         def no_cuts(_):
             raise AssertionError("a cut was built")
@@ -175,26 +219,28 @@ class TestSignatureLimit:
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == "" and not target.exists()
         assert err.startswith("infeasible job:") and err.count("\n") == 1
-        assert f"{(n * n + 1) * n * n} cells" in err
+        assert f"{n**4} cells" in err
 
     def test_limit_is_inclusive(self, capsys, tmp_path, monkeypatch):
         matrix = tmp_path / "f.txt"
-        matrix.write_text("0.3 0.7\n0.7 1\n")  # 3 distinct positive values, 4 cells
-        monkeypatch.setattr(cli, "MAX_SIGNATURE_CELLS", 16)
+        matrix.write_text("0.3 0.7\n0.7 1\n")  # 3 cuts of 4 cells: 1 is an entry
+        monkeypatch.setattr(cli, "MAX_SIGNATURE_CELLS", 12)
         assert run_cli(capsys, "signature", "--input", str(matrix))[0] == 0
-        monkeypatch.setattr(cli, "MAX_SIGNATURE_CELLS", 15)
-        assert run_cli(capsys, "signature", "--input", str(matrix))[0] == 3
+        monkeypatch.setattr(cli, "MAX_SIGNATURE_CELLS", 11)
+        code, _, err = run_cli(capsys, "signature", "--input", str(matrix))
+        assert code == 3 and "12 cells" in err
 
 
 class TestClassifyLimit:
-    """A classification whose class signatures hold more than MAX_SIGNATURE_CELLS
-    cells in all, (k + 1) * n^2 per class, is refused before its report is written."""
+    """A corpus with a member whose signature holds more than MAX_SIGNATURE_CELLS
+    cells is refused before it is classified, and a classification whose class
+    signatures hold more in all, (k + 1) * n^2 per class, before its report is
+    written."""
 
     def test_order_70_of_distinct_values_refused(self, capsys, tmp_path):
         n = 70
-        rows = (" ".join(f"{i * n + j + 1}/{n * n}" for j in range(n)) for i in range(n))
         corpus = tmp_path / "distinct.txt"
-        corpus.write_text("\n".join(rows) + "\n")
+        corpus.write_text(distinct_values_text(n))
         target = tmp_path / "classes.json"
         code, out, err = run_cli(
             capsys, "classify", "--input", str(corpus), "--output", str(target)
@@ -202,6 +248,19 @@ class TestClassifyLimit:
         assert code == 3 and out == "" and not target.exists()
         assert err.startswith("infeasible job:") and err.count("\n") == 1
         assert f"{n * n * n * n} cells" in err
+
+    def test_large_member_refused_before_classifying(self, capsys, tmp_path, monkeypatch):
+        n = 120
+        corpus = tmp_path / "distinct.txt"
+        corpus.write_text(distinct_values_text(n))
+
+        def no_classes(_):
+            raise AssertionError("the corpus was classified")
+
+        monkeypatch.setattr(cli, "classify_corpus", no_classes)
+        code, out, err = run_cli(capsys, "classify", "--input", str(corpus))
+        assert code == 3 and out == ""
+        assert err.startswith("infeasible job:") and f"{n**4} cells" in err
 
     def test_limit_is_inclusive_and_counts_each_class_once(self, capsys, tmp_path, monkeypatch):
         corpus = tmp_path / "corpus.txt"
@@ -226,6 +285,27 @@ class TestTable:
         assert code == 0
         data = json.loads(out)
         assert data["rows"][2] == {"n": 2, "counts": [16, 65, 110, 84, 24], "total": 299}
+
+    @pytest.mark.parametrize("root", [None, "O", "J"])
+    def test_json_bytes(self, capsys, root):
+        for max_n in range(13):
+            argv = ["table", "--max-n", str(max_n), "--format", "json"]
+            code, out, _ = run_cli(capsys, *argv, *(["--root", root] if root else []))
+            table = cutchains.count_table(max_n, root=root)
+            assert (code, out) == (0, json.dumps(table.to_json_dict(), indent=2) + "\n")
+
+    def test_json_chunks_stream(self):
+        # the text of this table is 11.6 MiB, and json.dumps allocates about 24 MiB
+        # for it; its largest row, written as one chunk, is 1.9 MiB
+        table = cutchains.count_table(30)
+        tracemalloc.start()
+        try:
+            size = sum(len(chunk) for chunk in cli._table_json_chunks(table))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size > 11 * 2**20
+        assert peak < 8 * 2**20
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
@@ -588,9 +668,11 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("items", [[], [{}], [{"a": [1, {"b": []}]}, "x\ny", [[]]]])
     def test_streamed_report_matches_json_dumps(self, items):
-        chunks = list(_json_array_chunks(items))
-        assert len(chunks) == len(items) + 1
-        assert "".join(chunks) == json.dumps(items, indent=2) + "\n"
+        for margin in ("", "  "):
+            chunks = list(_json_array_chunks(items, margin))
+            assert len(chunks) == len(items) + 1
+            want = json.dumps(items, indent=2).replace("\n", "\n" + margin) + "\n"
+            assert "".join(chunks) == want
 
     def test_signature(self, capsys, tmp_path):
         outputs = []

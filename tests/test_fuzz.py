@@ -9,6 +9,7 @@ traceback.
 import contextlib
 import io
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -197,22 +198,37 @@ lattice_argv = _cat(
 )
 
 
+# The caller's digit limit: the CLI applies its own, so none changes an outcome.
+caller_limits = st.sampled_from([0, 640, 4300])
+
+
+def _run_under_limit(argv, limit):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        _run(argv, INTEGER_EXIT_CODES, INTEGER_WALL_BOUND_S)
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 @settings(max_examples=60)
-@given(count_argv)
-@example(["count", "--n", "16", "--k", "1", "--method", "naive"])
-@example(["count", "--n", "17", "--k", "1", "--method", "naive"])
-@example(["count", "--n", "38", "--k", "1444"])
-@example(["count", "--n", "39", "--k", "1521"])
-def test_count_on_integer_arguments(argv):
-    _run(argv, INTEGER_EXIT_CODES, INTEGER_WALL_BOUND_S)
+@given(count_argv, caller_limits)
+@example(["count", "--n", "16", "--k", "1", "--method", "naive"], 4300)
+@example(["count", "--n", "17", "--k", "1", "--method", "naive"], 4300)
+@example(["count", "--n", "38", "--k", "1444"], 640)
+@example(["count", "--n", "39", "--k", "1521"], 0)
+@example(["count", "--n", "2000", "--k", "1"], 0)
+def test_count_on_integer_arguments(argv, limit):
+    _run_under_limit(argv, limit)
 
 
 @settings(max_examples=25)
-@given(table_argv)
-@example(["table", "--max-n", "17", "--method", "naive"])
-@example(["sequence", "--max-n", "39"])
-def test_table_and_sequence_on_integer_arguments(argv):
-    _run(argv, INTEGER_EXIT_CODES, INTEGER_WALL_BOUND_S)
+@given(table_argv, caller_limits)
+@example(["table", "--max-n", "17", "--method", "naive"], 4300)
+@example(["sequence", "--max-n", "39"], 0)
+def test_table_and_sequence_on_integer_arguments(argv, limit):
+    _run_under_limit(argv, limit)
 
 
 @settings(max_examples=40)
