@@ -26,10 +26,11 @@ EXIT_INFEASIBLE = 3
 EXIT_MALFORMED = 4
 
 
-# Largest input file read, in bytes.  A 4 MiB text corpus of 32,000 order-6
-# matrices with short entries takes `classify` about 18 s and 300 MiB peak RSS
-# to parse and classify, and is then refused by MAX_SIGNATURE_CELLS (Python
-# 3.11, one process).
+# Largest input file read, in bytes.  A 4 MiB text corpus of 34,000 order-6
+# matrices with short entries (".dd", "0", "1") takes `classify` about 15 s and
+# 290 MiB peak RSS to parse and classify, and is then refused by
+# MAX_SIGNATURE_CELLS; with "0.dd" entries, read without Fraction's parser,
+# 28,000 matrices take about 11 s and 240 MiB (Python 3.11, one process).
 MAX_INPUT_BYTES = 4 * 2**20
 
 # Largest cell count (n = 16) counted by nested summation, whose table is O(m^3)
@@ -129,9 +130,20 @@ def _read_input(path: str, fmt: str, what: str, parse_json, parse_text):
     use_json = fmt == "json" or (fmt == "auto" and path.endswith(".json"))
     try:
         # a number literal reaches parse_value as its exact text, not as a float
-        return parse_json(json.loads(text, parse_float=str)) if use_json else parse_text(text)
+        if use_json:
+            return parse_json(json.loads(text, parse_float=str, parse_int=_json_int))
+        return parse_text(text)
     except (ValueError, TypeError, RecursionError) as exc:  # deep JSON nesting recurses
         raise MalformedInputError(f"malformed {what} file {path}: {exc}") from exc
+
+
+def _json_int(text: str) -> int:
+    """A JSON integer literal, refused above MAX_DIGITS digits in this program's
+    own words: int()'s message would advise raising the interpreter's limit."""
+    digits = len(text) - text.startswith("-")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"a JSON integer of {digits} digits is above the limit of {MAX_DIGITS}")
+    return int(text)
 
 
 def _load_matrix(path: str, fmt: str) -> FuzzyMatrix:

@@ -34,19 +34,57 @@ ONE = Fraction(1)
 MAX_DIGITS = 4300
 
 
+# The most characters of an input text that an error message repeats.
+_SHOWN_CHARS = 40
+
+
+def _shown(text: str) -> str:
+    """repr(text), or, for a longer text, the repr of its first _SHOWN_CHARS
+    characters and the text's length."""
+    if len(text) <= _SHOWN_CHARS:
+        return repr(text)
+    return f"{text[:_SHOWN_CHARS]!r}... ({len(text)} characters)"
+
+
+def _shown_value(value: Fraction) -> str:
+    """str(value), or its sign and size when that would be long."""
+    num, den = value.numerator, value.denominator
+    if max(abs(num), den).bit_length() <= 128:
+        return str(value)
+    sign = "-" if num < 0 else ""
+    return f"{sign}({abs(num).bit_length()}-bit integer)/({den.bit_length()}-bit integer)"
+
+
 def parse_value(text: str) -> Fraction:
     """Parse a membership value from a decimal ("0.25") or fraction ("1/4") string."""
+    if text.isascii():
+        # "d", "d.ddd" or "p/q" in ASCII digits is built from ints, as Fraction
+        # builds it but without its regex; each part is one int() under the
+        # digit limit.  Every other spelling is left to Fraction below.
+        try:
+            if text.isdigit():
+                return ZERO if text == "0" else ONE if text == "1" else Fraction(int(text))
+            head, sep, tail = text.partition(".")
+            if not sep:
+                head, sep, tail = text.partition("/")
+            if head.isdigit() and tail.isdigit():
+                if sep == "/":
+                    return Fraction(int(head), int(tail))
+                scale = 10 ** len(tail)
+                return Fraction(int(head) * scale + int(tail), scale)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not a rational value: {_shown(text)}") from exc
     if "e" in text or "E" in text:
         try:
             too_large = abs(int(text.lower().partition("e")[2])) > MAX_DIGITS
         except ValueError:
             too_large = False  # malformed: Fraction rejects it below
         if too_large:
-            raise ValueError(f"exponent of {text!r} exceeds {MAX_DIGITS} in magnitude")
+            raise ValueError(f"exponent of {_shown(text)} exceeds {MAX_DIGITS} in magnitude")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational value: {text!r}") from exc
+        raise ValueError(f"not a rational value: {_shown(text)}") from exc
 
 
 def format_value(value: Fraction) -> str:
@@ -169,7 +207,7 @@ class FuzzyMatrix:
             for v in row:
                 # denominators are positive, so v in [0, 1] compares two ints
                 if not 0 <= v.numerator <= v.denominator:
-                    raise ValueError(f"membership value {v} outside [0, 1]")
+                    raise ValueError(f"membership value {_shown_value(v)} outside [0, 1]")
 
     @classmethod
     def from_rows(cls, rows) -> "FuzzyMatrix":
@@ -193,10 +231,13 @@ class FuzzyMatrix:
             raise ValueError('matrix JSON must be {"n": ..., "entries": [[...], ...]}')
         n = data["n"]
         if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f'"n" must be an integer, got {n!r}')
+            shown = _shown(n) if isinstance(n, str) else type(n).__name__
+            raise ValueError(f'"n" must be an integer, got {shown}')
         entries = data["entries"]
         if not isinstance(entries, list) or any(not isinstance(r, list) for r in entries):
             raise ValueError('"entries" must be a list of lists of value strings')
+        if n != len(entries):  # checked here, so an error never repeats a long "n"
+            raise ValueError(f'"n" must equal the number of rows of "entries", {len(entries)}')
         # each entry is coerced as the constructor coerces it, so a float is refused
         return cls(n, tuple(tuple(row) for row in entries))
 

@@ -13,6 +13,12 @@ from math import comb
 from hypothesis import strategies as st
 
 from cutchains import CrispMatrix, FuzzyMatrix, mask_to_bits, support_label
+from cutchains.matrices import MAX_DIGITS
+
+
+# The most bytes of the one stderr line of a CLI run on a malformed input file:
+# its error repeats at most a short prefix of any value, beside the file's path.
+STDERR_BYTE_BOUND = 1024
 
 
 def brute_force_chains(m, k, root=None):
@@ -113,6 +119,22 @@ def rank_pattern_oracle(f):
     values = list(f.values())
     key = {v: (rank, v == 0, v == 1) for rank, v in enumerate(sorted(set(values)))}
     return [key[v] for v in values]
+
+
+def parse_value_oracle(text):
+    """parse_value by Fraction's own parser alone: the exponent bound, then
+    Fraction(text.strip()), with every failure a ValueError."""
+    if "e" in text or "E" in text:
+        try:
+            exponent = int(text.lower().partition("e")[2])
+        except ValueError:
+            exponent = 0
+        if abs(exponent) > MAX_DIGITS:
+            raise ValueError("exponent out of bounds")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError("zero denominator") from exc
 
 
 def fuzzy_complement(f):

@@ -13,12 +13,14 @@ import pytest
 import cutchains
 from cutchains import cli
 from cutchains.cli import (
+    MAX_DIGITS,
     MAX_INPUT_BYTES,
     MAX_SIGNATURE_CELLS,
     NAIVE_MAX_CELLS,
     _json_array_chunks,
     main,
 )
+from helpers import STDERR_BYTE_BOUND
 
 DATA = Path(__file__).parent / "data"
 
@@ -155,16 +157,43 @@ class TestUnlimitedInterpreter:
     def assert_refused(result, code, prefix):
         assert (result.returncode, result.stdout) == (code, "")
         assert result.stderr.startswith(prefix) and result.stderr.count("\n") == 1
+        assert len(result.stderr.encode()) < STDERR_BYTE_BOUND
+
+    def assert_own_digit_limit(self, result):
+        self.assert_refused(result, 4, "error:")
+        # the program's own limit, not the interpreter's advice to raise it
+        assert f"above the limit of {MAX_DIGITS}" in result.stderr
+        assert "set_int_max_str_digits" not in result.stderr
 
     def test_long_mantissa_is_malformed(self, tmp_path):
         matrix = tmp_path / "mantissa.txt"
         matrix.write_text("0." + "1" * 10**6 + "\n")
         self.assert_refused(self.run_unlimited("signature", "--input", str(matrix)), 4, "error:")
 
+    @pytest.mark.parametrize(
+        "value",
+        ["1" * 10**6, "1/" + "3" * 10**6, "1" * 10**6 + "e-99999"],
+        ids=["integer", "fraction", "exponent"],
+    )
+    def test_long_value_error_is_bounded(self, tmp_path, value):
+        matrix = tmp_path / "value.txt"
+        matrix.write_text(value + "\n")
+        result = self.run_unlimited("signature", "--input", str(matrix))
+        self.assert_refused(result, 4, "error:")
+        assert f"... ({len(value)} characters)" in result.stderr
+
     def test_long_json_integer_is_malformed(self, tmp_path):
         matrix = tmp_path / "order.json"
         matrix.write_text('{"n": 1' + "0" * 10**6 + ', "entries": [["0.5"]]}\n')
-        self.assert_refused(self.run_unlimited("signature", "--input", str(matrix)), 4, "error:")
+        self.assert_own_digit_limit(self.run_unlimited("signature", "--input", str(matrix)))
+
+    @pytest.mark.parametrize(
+        "entry", ["1" + "0" * 10**6, "-" + "9" * (MAX_DIGITS + 1)], ids=["long", "just-past"]
+    )
+    def test_long_json_entry_is_malformed(self, tmp_path, entry):
+        matrix = tmp_path / "entry.json"
+        matrix.write_text('{"n": 1, "entries": [[' + entry + "]]}\n")
+        self.assert_own_digit_limit(self.run_unlimited("signature", "--input", str(matrix)))
 
     def test_long_sequence_is_infeasible(self):
         result = self.run_unlimited("sequence", "--max-n", "45")

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from cutchains import FuzzyMatrix, parse_value
 from cutchains.cli import EXIT_INFEASIBLE, EXIT_MALFORMED, EXIT_USAGE, main
+from helpers import STDERR_BYTE_BOUND
 
 # Generous for the tiny inputs drawn here; an unbounded parse takes far longer.
 WALL_BOUND_S = 2.0
@@ -40,7 +41,15 @@ valid_value = st.one_of(
     st.fractions(0, 1, max_denominator=9).map(str),
     st.sampled_from(["0", "1", "0.5", "0.25", "1e-1"]),
 )
-square_rows = st.tuples(st.integers(0, 3), st.sampled_from([valid_value, value_like])).flatmap(
+# Values of up to 10^4 digits, on both sides of the digit limit, so that an
+# error has a long text to repeat.
+long_value = st.tuples(
+    st.sampled_from(["", "0.", "1.", "1/", "-", "0.0"]),
+    st.sampled_from("0139"),
+    st.integers(1, 10**4),
+).map(lambda drawn: drawn[0] + drawn[1] * drawn[2])
+value_kinds = [valid_value, value_like, st.one_of(valid_value, long_value)]
+square_rows = st.tuples(st.integers(0, 3), st.sampled_from(value_kinds)).flatmap(
     lambda nv: st.lists(
         st.lists(nv[1], min_size=nv[0], max_size=nv[0]), min_size=nv[0], max_size=nv[0]
     )
@@ -60,8 +69,14 @@ matrix_text = st.one_of(
     st.lists(st.lists(value_like, min_size=1, max_size=4).map(" ".join), max_size=5),
     square_rows.map(lambda rows: [" ".join(row) for row in rows]),
 ).map("\n".join)
+# JSON integer literals of up to 10^4 digits, as an order or an entry
+long_json_int = st.tuples(st.sampled_from(["", "-"]), st.integers(1, 10**4)).map(
+    lambda drawn: drawn[0] + "1" + "0" * drawn[1]
+)
 file_bytes = st.one_of(
     st.binary(max_size=200),
+    long_json_int.map(lambda d: '{"n": %s, "entries": [["0"]]}' % d).map(str.encode),
+    long_json_int.map(lambda d: '{"n": 1, "entries": [[%s]]}' % d).map(str.encode),
     st.lists(matrix_text, max_size=3).map(lambda blocks: "\n\n".join(blocks).encode()),
     st.one_of(matrix_dicts, st.lists(matrix_dicts, max_size=3), json_values).map(
         lambda data: json.dumps(data).encode()
@@ -101,6 +116,8 @@ def _run(argv, allowed=(0, 1, EXIT_MALFORMED), wall_bound_s=WALL_BOUND_S):
     assert elapsed < wall_bound_s, f"{argv} took {elapsed:.2f}s"
     assert code in allowed, (argv, code, err.getvalue())
     lines = err.getvalue().splitlines()
+    if argv[0] in ("classify", "signature", "equivalent"):
+        assert len(lines) <= 1 and len(err.getvalue().encode()) < STDERR_BYTE_BOUND, lines
     if code == EXIT_MALFORMED:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
     if code == EXIT_INFEASIBLE:

@@ -1,12 +1,50 @@
+import re
+import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutchains import CrispMatrix, FuzzyMatrix, format_value, parse_value
-from helpers import all_crisp, fuzzy_complement, fuzzy_matrices
+from cutchains.matrices import MAX_DIGITS
+from helpers import all_crisp, fuzzy_complement, fuzzy_matrices, parse_value_oracle
+
+# Text shaped like the parser's ASCII fast path ("d", "d.ddd", "p/q") and its
+# near misses: leading zeros, empty parts, zero denominators, signs,
+# whitespace, exponents, underscores, and Unicode and superscript digits.
+ascii_digits = st.text(alphabet="0123456789", max_size=8)
+other_digits = st.text(alphabet="0123456789_\u00b2\u00b9\u0661\u0662\u0660\uff11", max_size=6)
+fast_path_shaped = st.tuples(
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["", "+", "-"]),
+    st.one_of(ascii_digits, other_digits),
+    st.sampled_from(["", ".", "/", "./", "..", "//"]),
+    st.one_of(ascii_digits, other_digits),
+    st.sampled_from(["", "e2", "E-3", "e", "e+0"]),
+    st.sampled_from(["", " ", "\n"]),
+).map("".join)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+def _digit_limit_examples():
+    """Each part of a value at MAX_DIGITS digits, and one digit past it."""
+    at, past = "1" * MAX_DIGITS, "1" * (MAX_DIGITS + 1)
+    cases = {
+        "integer-at": (at, True), "integer-past": (past, False),
+        "tail-at": ("0." + at, True), "tail-past": ("0." + past, False),
+        "head-and-tail-at": (at + "." + at, True), "head-past": (past + ".5", False),
+        "fraction-at": (at + "/" + at, True), "denominator-past": ("1/" + past, False),
+        "numerator-past": (past + "/3", False),
+    }
+    return [pytest.param(text, accepted, id=name) for name, (text, accepted) in cases.items()]
 
 
 class TestParseFormat:
@@ -26,8 +64,40 @@ class TestParseFormat:
 
     @pytest.mark.parametrize("bad", ["", "abc", "1/0", "0..5"])
     def test_parse_rejects(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^not a rational value: {re.escape(repr(bad))}$"):
             parse_value(bad)
+
+    @settings(max_examples=500)
+    @given(st.one_of(st.text(max_size=12), fast_path_shaped))
+    @example("0." + "1" * MAX_DIGITS)
+    @example("0." + "1" * (MAX_DIGITS + 1))
+    @example("9" * MAX_DIGITS + "." + "9" * MAX_DIGITS)
+    @example("1/" + "3" * MAX_DIGITS)
+    @example("1" * (MAX_DIGITS + 1) + "/3")
+    def test_parse_agrees_with_fraction(self, text):
+        """The same Fraction as Fraction's own parser, or a ValueError from both."""
+        assert _outcome(parse_value, text) == _outcome(parse_value_oracle, text)
+
+    @pytest.mark.parametrize("text,accepted", _digit_limit_examples())
+    def test_digit_limit_per_part(self, text, accepted):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(MAX_DIGITS)  # as the CLI pins it
+        try:
+            assert _outcome(parse_value, text) == _outcome(parse_value_oracle, text)
+            assert (_outcome(parse_value, text) is not ValueError) == accepted
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1" * 10**6, "0." + "1" * 10**6, "x" * 10**6, "1" * 10**6 + "e-99999"],
+        ids=["integer", "decimal", "junk", "exponent"],
+    )
+    def test_error_text_bounded(self, text):
+        with pytest.raises(ValueError) as info:
+            parse_value(text)
+        message = str(info.value)
+        assert len(message) < 120 and f"... ({len(text)} characters)" in message
 
     def test_exponent_at_bound_parses(self):
         assert parse_value("1e-4300") == Fraction(1, 10**4300)
@@ -131,6 +201,15 @@ class TestFuzzyMatrix:
             FuzzyMatrix.from_rows([["-0.5"]])
         FuzzyMatrix.from_rows([["0", "1"], ["1/2", "0.999"]])  # both ends included
 
+    def test_range_message_bounded(self):
+        # str() of this value would pass the digit limit
+        above = "1." + "0" * (MAX_DIGITS - 1) + "1"
+        sized = r"\(\d+-bit integer\)/\(\d+-bit integer\)"
+        with pytest.raises(ValueError, match=rf"^membership value {sized} outside \[0, 1\]$"):
+            FuzzyMatrix.from_rows([[above]])
+        with pytest.raises(ValueError, match=rf"^membership value -{sized} outside"):
+            FuzzyMatrix(1, ((Fraction(-(10**4000)),),))
+
     def test_fraction_entries_kept(self):
         third = Fraction(1, 3)
         assert FuzzyMatrix(1, ((third,),)).entry(1, 1) is third
@@ -160,6 +239,13 @@ class TestFuzzyMatrix:
             FuzzyMatrix.from_json_dict({"entries": [["0"]]})
         with pytest.raises(ValueError):
             FuzzyMatrix.from_json_dict({"n": "1", "entries": [["0"]]})
+
+    def test_json_order_errors_bounded(self):
+        for n in (10**4000, -1, 2):
+            with pytest.raises(ValueError, match=r'^"n" must equal the number of rows'):
+                FuzzyMatrix.from_json_dict({"n": n, "entries": [["0"]]})
+        with pytest.raises(ValueError, match=r"\.\.\. \(100000 characters\)$"):
+            FuzzyMatrix.from_json_dict({"n": "9" * 10**5, "entries": []})
 
     def test_json_rejects_bool_order(self):
         with pytest.raises(ValueError, match='"n" must be an integer'):
