@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Iterable, Iterator
 
-from . import counting, enumeration
+from . import counting, cuts, enumeration
 from .cuts import classify_corpus, equivalent_direct, signature
 from .enumeration import InfeasibleJobError
 from .matrices import MAX_DIGITS, FuzzyMatrix
@@ -26,11 +26,12 @@ EXIT_INFEASIBLE = 3
 EXIT_MALFORMED = 4
 
 
-# Largest input file read, in bytes.  A 4 MiB text corpus of 34,000 order-6
-# matrices with short entries (".dd", "0", "1") takes `classify` about 15 s and
-# 290 MiB peak RSS to parse and classify, and is then refused by
-# MAX_SIGNATURE_CELLS; with "0.dd" entries, read without Fraction's parser,
-# 28,000 matrices take about 11 s and 240 MiB (Python 3.11, one process).
+# Largest input file read, in bytes.  A 4 MiB text corpus of 32,000 order-6
+# matrices with short entries (".dd", "0", "1") takes `classify` about 5 s and
+# 140 MiB peak RSS to parse (3.7 s) and group, and is then refused by
+# MAX_SIGNATURE_CELLS before any class is built.  One of 57,000 order-6 0/1
+# matrices, 57,000 classes of one or two cuts, is served in 11-14 s and
+# 170 MiB, writing 55 MB (Python 3.11, one process).
 MAX_INPUT_BYTES = 4 * 2**20
 
 # Largest cell count (n = 16) counted by nested summation, whose table is O(m^3)
@@ -276,15 +277,18 @@ def _cmd_classify(args) -> int:
     for matrix in corpus:
         _check_signature_cells(matrix)
     try:
-        result = classify_corpus(corpus)
+        order, patterns, by_masks = cuts._group_corpus(corpus)
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
-    cells = sum(len(cls.signature.cuts) for cls in result.classes) * result.order**2
+    # each class's cut masks are its signature's cuts, so the report is bounded
+    # before any signature or representative is built
+    cells = sum(map(len, by_masks)) * order**2
     if cells > MAX_SIGNATURE_CELLS:
         raise InfeasibleJobError(
-            f"the class signatures of an order-{result.order} corpus have {cells} cells "
+            f"the class signatures of an order-{order} corpus have {cells} cells "
             f"in all, above the limit of {MAX_SIGNATURE_CELLS}"
         )
+    result = cuts._build_classes(order, patterns, by_masks)  # classify_corpus, in two steps
     # streamed one class at a time, so the report is never held whole
     _emit(_json_array_chunks(cls.to_json_dict() for cls in result.classes), args.output)
     return EXIT_OK

@@ -109,8 +109,9 @@ def _check_cuts(order: int, cuts: tuple[CrispMatrix, ...]) -> None:
     for cut in cuts:
         if cut.order != order:
             raise ValueError(f"every cut must have order {order}")
-    for prev, nxt in zip(cuts, cuts[1:]):
-        if not prev.ispropersubset(nxt):
+    masks = [cut.mask for cut in cuts]
+    for p, q in zip(masks, masks[1:]):
+        if p & q != p or p == q:
             raise ValueError("cuts must be strictly increasing under inclusion")
 
 
@@ -267,12 +268,15 @@ def equivalent_cuts(a: FuzzyMatrix, b: FuzzyMatrix) -> bool:
     return signature(a) == signature(b)
 
 
+def _even_levels(steps: int) -> tuple[Fraction, ...]:
+    """The equally spaced levels 1, (steps-1)/steps, ..., 1/steps, falling."""
+    return tuple(Fraction(steps - i, steps) for i in range(steps))
+
+
 def canonical_representative(sig: ChainSignature) -> FuzzyMatrix:
     """Deterministic class representative: cuts at equally spaced levels i/(k+1)."""
-    steps = sig.k + 1
-    levels = (Fraction(steps - i, steps) for i in range(steps))
     # the signature has checked its cuts, and the levels fall by construction
-    return _reconstruct(sig.order, levels, sig.cuts)
+    return _reconstruct(sig.order, _even_levels(sig.k + 1), sig.cuts)
 
 
 @dataclass(frozen=True)
@@ -303,15 +307,11 @@ class Classification:
         return [cls.to_json_dict() for cls in self.classes]
 
 
-def classify_corpus(matrices: Iterable[FuzzyMatrix]) -> Classification:
-    """Partition same-order matrices into equivalence classes.
-
-    Each member's ranks are computed once: the cut masks read off them key the
-    grouping, and the ranks themselves re-check the member against its class
-    representative (the direct entrywise procedure), so the two decision routes
-    cross-validate on every call.  Classes come by k, then cut masks (the cut
-    bitstrings' order), and each builds its signature and representative once.
-    """
+def _group_corpus(
+    matrices: Iterable[FuzzyMatrix],
+) -> tuple[int, list[_RankPattern], dict[tuple[int, ...], list[int]]]:
+    """The corpus's order, each member's ranks, and the members' indices keyed
+    by the cut masks read off their ranks."""
     corpus = list(matrices)
     if not corpus:
         raise ValueError("corpus must be nonempty")
@@ -324,11 +324,22 @@ def classify_corpus(matrices: Iterable[FuzzyMatrix]) -> Classification:
     by_masks: dict[tuple[int, ...], list[int]] = {}
     for idx, pattern in enumerate(patterns):
         by_masks.setdefault(_cut_masks(order, pattern), []).append(idx)
+    return order, patterns, by_masks
 
+
+def _build_classes(
+    order: int, patterns: list[_RankPattern], by_masks: dict[tuple[int, ...], list[int]]
+) -> Classification:
+    """Each group's signature and representative, and every member re-checked against it."""
+    levels_by_steps: dict[int, tuple[Fraction, ...]] = {}
     classes = []
     for masks in sorted(by_masks, key=lambda masks: (len(masks), masks)):
         sig = ChainSignature(order, tuple(CrispMatrix(order, mask) for mask in masks))
-        rep = canonical_representative(sig)
+        steps = len(masks)
+        if steps not in levels_by_steps:
+            levels_by_steps[steps] = _even_levels(steps)
+        # canonical_representative(sig), on levels shared by the classes of one k
+        rep = _reconstruct(order, levels_by_steps[steps], sig.cuts)
         rep_pattern = _rank_pattern(rep)
         members = tuple(by_masks[masks])
         for idx in members:
@@ -339,3 +350,15 @@ def classify_corpus(matrices: Iterable[FuzzyMatrix]) -> Classification:
                 )
         classes.append(EquivalenceClass(sig, rep, members))
     return Classification(order, tuple(classes))
+
+
+def classify_corpus(matrices: Iterable[FuzzyMatrix]) -> Classification:
+    """Partition same-order matrices into equivalence classes.
+
+    Each member's ranks are computed once: the cut masks read off them key the
+    grouping, and the ranks themselves re-check the member against its class
+    representative (the direct entrywise procedure), so the two decision routes
+    cross-validate on every call.  Classes come by k, then cut masks (the cut
+    bitstrings' order), and each builds its signature and representative once.
+    """
+    return _build_classes(*_group_corpus(matrices))

@@ -58,20 +58,20 @@ def _shown_value(value: Fraction) -> str:
 def parse_value(text: str) -> Fraction:
     """Parse a membership value from a decimal ("0.25") or fraction ("1/4") string."""
     if text.isascii():
-        # "d", "d.ddd" or "p/q" in ASCII digits is built from ints, as Fraction
-        # builds it but without its regex; each part is one int() under the
-        # digit limit.  Every other spelling is left to Fraction below.
+        # "d", "d.ddd", ".ddd", "d." or "p/q" in ASCII digits is built from ints,
+        # as Fraction builds it but without its regex; each part is one int()
+        # under the digit limit.  Every other spelling is left to Fraction below.
         try:
             if text.isdigit():
                 return ZERO if text == "0" else ONE if text == "1" else Fraction(int(text))
-            head, sep, tail = text.partition(".")
-            if not sep:
-                head, sep, tail = text.partition("/")
-            if head.isdigit() and tail.isdigit():
-                if sep == "/":
-                    return Fraction(int(head), int(tail))
+            head, dot, tail = text.partition(".")
+            # either part may be empty, but not both: "." has no digit
+            if dot and (head + tail).isdigit():
                 scale = 10 ** len(tail)
-                return Fraction(int(head) * scale + int(tail), scale)
+                return Fraction(int(head or 0) * scale + int(tail or 0), scale)
+            head, slash, tail = text.partition("/")
+            if slash and head.isdigit() and tail.isdigit():
+                return Fraction(int(head), int(tail))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational value: {_shown(text)}") from exc
     if "e" in text or "E" in text:
@@ -112,6 +112,8 @@ def format_value(value: Fraction) -> str:
 
 
 def _coerce_entry(value) -> Fraction:
+    if type(value) is Fraction:  # the common case, ahead of the isinstance chain
+        return value
     if isinstance(value, str):
         return parse_value(value)
     if isinstance(value, Fraction):
@@ -199,7 +201,7 @@ class FuzzyMatrix:
     def __post_init__(self) -> None:
         if self.order < 0:
             raise ValueError(f"order must be nonnegative, got {self.order}")
-        rows = tuple(tuple(_coerce_entry(v) for v in row) for row in self.entries)
+        rows = tuple(tuple(map(_coerce_entry, row)) for row in self.entries)
         object.__setattr__(self, "entries", rows)
         if len(rows) != self.order or any(len(row) != self.order for row in rows):
             raise ValueError(f"entries do not form an {self.order}x{self.order} grid")

@@ -137,6 +137,44 @@ def parse_value_oracle(text):
         raise ValueError("zero denominator") from exc
 
 
+def check_cuts_oracle(order, cuts):
+    """The cut check of ChainSignature and CutChain by CrispMatrix's own
+    inclusion test, pair by pair, with the library's messages."""
+    if not cuts:
+        raise ValueError("a chain of cuts has at least one component")
+    for cut in cuts:
+        if cut.order != order:
+            raise ValueError(f"every cut must have order {order}")
+    for prev, nxt in zip(cuts, cuts[1:]):
+        if not prev.ispropersubset(nxt):
+            raise ValueError("cuts must be strictly increasing under inclusion")
+
+
+@st.composite
+def cut_tuples(draw, max_order=3):
+    """(order, cuts): a chain built by adding cells, which may add none (equal
+    cuts), then kept, shuffled (unnested or falling) or replaced by unrelated
+    masks; now and then a cut of a neighbouring order; possibly no cut at all."""
+    order = draw(st.integers(0, max_order))
+    full = (1 << order * order) - 1
+    masks, mask = [], 0
+    for _ in range(draw(st.integers(0, 5))):
+        mask |= draw(st.integers(0, full))
+        masks.append(mask)
+    shape = draw(st.sampled_from(["chain", "shuffled", "unrelated"]))
+    if shape == "shuffled":
+        masks = draw(st.permutations(masks))
+    elif shape == "unrelated":
+        masks = [draw(st.integers(0, full)) for _ in masks]
+    cuts = []
+    for mask in masks:
+        cut_order = order + draw(st.sampled_from([0] * 10 + [1, -1]))
+        if cut_order < 0:
+            cut_order = 1
+        cuts.append(CrispMatrix(cut_order, mask & (1 << cut_order * cut_order) - 1))
+    return order, tuple(cuts)
+
+
 def fuzzy_complement(f):
     """Cellwise 1 - x."""
     return FuzzyMatrix(f.order, tuple(tuple(1 - x for x in row) for row in f.entries))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cutchains
-from cutchains import cli
+from cutchains import cli, cuts
 from cutchains.cli import (
     MAX_DIGITS,
     MAX_INPUT_BYTES,
@@ -291,6 +291,19 @@ class TestClassifyLimit:
         assert code == 3 and out == ""
         assert err.startswith("infeasible job:") and f"{n**4} cells" in err
 
+    def test_large_member_refused_before_grouping(self, capsys, tmp_path, monkeypatch):
+        n = 120
+        corpus = tmp_path / "distinct.txt"
+        corpus.write_text(distinct_values_text(n))
+
+        def no_grouping(_):
+            raise AssertionError("the corpus was grouped")
+
+        monkeypatch.setattr(cuts, "_group_corpus", no_grouping)
+        code, out, err = run_cli(capsys, "classify", "--input", str(corpus))
+        assert code == 3 and out == ""
+        assert err.startswith("infeasible job:") and f"{n**4} cells" in err
+
     def test_limit_is_inclusive_and_counts_each_class_once(self, capsys, tmp_path, monkeypatch):
         corpus = tmp_path / "corpus.txt"
         # classes of 3 and 2 cuts of 4 cells; the third matrix joins the first class
@@ -301,6 +314,39 @@ class TestClassifyLimit:
         monkeypatch.setattr(cli, "MAX_SIGNATURE_CELLS", 19)
         code, out, err = run_cli(capsys, "classify", "--input", str(corpus))
         assert code == 3 and out == "" and "20 cells" in err
+
+    def test_report_bound_refused_before_any_class_is_built(self, capsys, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus.txt"
+        # classes of 3 and 2 cuts of 4 cells, as above: 20 cells in all
+        corpus.write_text("0.3 0.7\n0.7 1\n\n0.5 0.5\n0.5 0.5\n\n0.1 0.5\n0.5 1\n")
+        groupings = []
+        build_classes = cuts._build_classes
+
+        def record(*grouping):
+            groupings.append(grouping)
+            return build_classes(*grouping)
+
+        monkeypatch.setattr(cuts, "_build_classes", record)
+        monkeypatch.setattr(cli, "MAX_SIGNATURE_CELLS", 20)
+        assert run_cli(capsys, "classify", "--input", str(corpus))[0] == 0
+        assert len(groupings) == 1  # the CLI builds its classes in this step
+
+        def no_classes(*_):
+            raise AssertionError("a class was built")
+
+        monkeypatch.setattr(cuts, "_build_classes", no_classes)
+        monkeypatch.setattr(cuts, "ChainSignature", no_classes)
+        monkeypatch.setattr(cuts, "_reconstruct", no_classes)
+        monkeypatch.setattr(cli, "MAX_SIGNATURE_CELLS", 19)
+        target = tmp_path / "classes.json"
+        code, out, err = run_cli(
+            capsys, "classify", "--input", str(corpus), "--output", str(target)
+        )
+        assert (code, out) == (3, "") and not target.exists()
+        assert err == (
+            "infeasible job: the class signatures of an order-2 corpus have 20 cells "
+            "in all, above the limit of 19\n"
+        )
 
 
 class TestTable:

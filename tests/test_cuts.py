@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import cutchains as cc
 from cutchains import CrispMatrix, FuzzyMatrix
 from cutchains import cuts
 from helpers import (
+    check_cuts_oracle,
     corpora,
+    cut_tuples,
     equivalent_pairwise,
     fuzzy_complement,
     fuzzy_matrices,
@@ -176,6 +178,34 @@ class TestReconstruct:
     def test_cut_orders_must_match_chain_order(self):
         with pytest.raises(ValueError):
             cc.CutChain(2, (F(1),), (CrispMatrix.zeros(1),))
+
+
+def _refusal(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestCutChecks:
+    """ChainSignature and CutChain compare cut masks as ints; pair by pair
+    through CrispMatrix.ispropersubset is the oracle."""
+
+    @settings(max_examples=300)
+    @given(cut_tuples())
+    @example((2, ()))
+    @example((1, (CrispMatrix(1, 0), CrispMatrix(1, 0))))  # equal
+    @example((2, (CrispMatrix(2, 0b0011), CrispMatrix(2, 0b0101))))  # unnested
+    @example((2, (CrispMatrix(2, 0b0111), CrispMatrix(2, 0b0011))))  # falling
+    @example((2, (CrispMatrix(2, 0), CrispMatrix(1, 1))))  # wrong order
+    @example((2, (CrispMatrix(2, 0), CrispMatrix(2, 1), CrispMatrix(2, 0b1111))))
+    def test_agree_with_pairwise_inclusion(self, case):
+        order, cuts = case
+        expected = _refusal(lambda: check_cuts_oracle(order, cuts))
+        assert _refusal(lambda: cc.ChainSignature(order, cuts)) == expected
+        levels = tuple(F(len(cuts) - i, len(cuts)) for i in range(len(cuts)))
+        assert _refusal(lambda: cc.CutChain(order, levels, cuts)) == expected
 
 
 class TestEquivalence:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutchains import CrispMatrix, FuzzyMatrix, format_value, parse_value
+from cutchains import CrispMatrix, FuzzyMatrix, format_value, matrices, parse_value
 from cutchains.matrices import MAX_DIGITS
 from helpers import all_crisp, fuzzy_complement, fuzzy_matrices, parse_value_oracle
 
@@ -57,12 +57,25 @@ class TestParseFormat:
             ("1", Fraction(1)),
             ("0.5", Fraction(1, 2)),
             ("3/7", Fraction(3, 7)),
+            (".5", Fraction(1, 2)),
+            ("5.", Fraction(5)),
+            ("0.", Fraction(0)),
+            (".0", Fraction(0)),
         ],
     )
     def test_parse(self, text, expected):
         assert parse_value(text) == expected
 
-    @pytest.mark.parametrize("bad", ["", "abc", "1/0", "0..5"])
+    @pytest.mark.parametrize("text", ["0.25", ".25", "5.", "0.", ".0", "1/4", "7"])
+    def test_plain_ascii_spellings_skip_fractions_parser(self, text, monkeypatch):
+        def no_text(value, *rest):
+            assert not isinstance(value, str), f"Fraction parsed {value!r}"
+            return Fraction(value, *rest)
+
+        monkeypatch.setattr(matrices, "Fraction", no_text)
+        assert parse_value(text) == Fraction(text)
+
+    @pytest.mark.parametrize("bad", ["", "abc", "1/0", "0..5", ".", "./1", "/5", "5/"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError, match=f"^not a rational value: {re.escape(repr(bad))}$"):
             parse_value(bad)
@@ -74,6 +87,15 @@ class TestParseFormat:
     @example("9" * MAX_DIGITS + "." + "9" * MAX_DIGITS)
     @example("1/" + "3" * MAX_DIGITS)
     @example("1" * (MAX_DIGITS + 1) + "/3")
+    @example("." + "1" * MAX_DIGITS)
+    @example("." + "1" * (MAX_DIGITS + 1))
+    @example("1" * (MAX_DIGITS + 1) + ".")
+    @example(".5")
+    @example("5.")
+    @example(".")
+    @example("./1")
+    @example("0.")
+    @example(".0")
     def test_parse_agrees_with_fraction(self, text):
         """The same Fraction as Fraction's own parser, or a ValueError from both."""
         assert _outcome(parse_value, text) == _outcome(parse_value_oracle, text)
@@ -213,6 +235,27 @@ class TestFuzzyMatrix:
     def test_fraction_entries_kept(self):
         third = Fraction(1, 3)
         assert FuzzyMatrix(1, ((third,),)).entry(1, 1) is third
+
+    def test_each_entry_coerced_and_range_checked(self):
+        class Level(Fraction):
+            pass
+
+        half = Level(1, 2)
+        f = FuzzyMatrix(2, ((half, "1/4"), (1, Fraction(0))))
+        assert f.entry(1, 1) is half
+        assert f.entries == ((Fraction(1, 2), Fraction(1, 4)), (Fraction(1), Fraction(0)))
+        refusals = [
+            (True, TypeError, "^cannot use bool as a membership value$"),
+            (0.5, TypeError, r"^float entries are not allowed \(got 0\.5\); use a string or Fraction$"),
+            ("x", ValueError, "^not a rational value: 'x'$"),
+            (Fraction(3, 2), ValueError, r"^membership value 3/2 outside \[0, 1\]$"),
+            (Level(-1, 3), ValueError, r"^membership value -1/3 outside \[0, 1\]$"),
+            (None, TypeError, "^cannot use NoneType as a membership value$"),
+        ]
+        for value, error, message in refusals:
+            # the refused value last, after entries that are already Fractions
+            with pytest.raises(error, match=message):
+                FuzzyMatrix(2, ((Fraction(1, 2), half), (Fraction(0), value)))
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
