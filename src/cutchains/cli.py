@@ -15,7 +15,7 @@ import sys
 from typing import Iterable, Iterator
 
 from . import counting, cuts, enumeration
-from .cuts import classify_corpus, equivalent_direct, signature
+from .cuts import equivalent_direct, signature
 from .enumeration import InfeasibleJobError
 from .matrices import MAX_DIGITS, FuzzyMatrix
 

@@ -7,15 +7,17 @@ support, pruning branches that cannot reach the requested length.  Each job is
 sized before its first chain is drawn and refused above the caller's chain
 ceiling: by the exact closed-form count (rooted or not), or, where that count
 would take long to compute, by an O(1) lower bound that already exceeds the
-ceiling.  Three walkers take that walk from the same first supports.
-enumerate_chains and chain_lines stream the chains themselves (_chain_tuples),
-so a listing streams in constant memory; chain_lines formats each support once
-per listing, through a memo of at most LISTING_MEMO_SIZE supports that is
-dropped with the listing.  count_chains and group_by_size_vector walk the same
-chains without building them (_count_walk, _group_walk): every chain is still
-visited, one last component at a time, and no closed form is used.  The
-support lattice (HasseDiagram) is computed from m and written line by line,
-as DOT or as JSON.
+ceiling.  One walk (_walk) streams the chains, each grown from its parent's
+prefix: enumerate_chains as tuples of masks (_chain_tuples), and chain_lines as
+listing lines, each line its parent's text plus one support.  So a listing
+streams in constant memory; chain_lines formats each support once per listing,
+through a memo of at most LISTING_MEMO_SIZE supports that is dropped with the
+listing.  Two counting walks take the same walk without building the chains
+(_count_walk for count_chains, _group_walk for group_by_size_vector): every
+chain is still visited, the last free component of each in a loop, and no
+closed form is used.  The support lattice (HasseDiagram) is computed from m and
+written line by line, as DOT or as JSON, its labels read from two tables of
+half-width cell text (_labeller).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .counting import _check_root, chain_count_ie
 from .matrices import mask_to_bits
@@ -61,6 +63,8 @@ LISTING_MEMO_SIZE = 1 << 12
 # larger job is refused in O(1) when a lower bound on its size exceeds the ceiling.
 _EXACT_PROJECTION_BITS = 10**6
 
+_T = TypeVar("_T")
+
 
 class InfeasibleJobError(Exception):
     """Raised when a job's projected size exceeds its ceiling."""
@@ -75,6 +79,36 @@ def support_label(mask: int, m: int) -> str:
         return f"A_{m}"
     cells = [str(p + 1) for p in range(m) if mask >> (m - 1 - p) & 1]
     return f"A_{size}^{{{','.join(cells)}}}"
+
+
+def _labeller(m: int) -> Callable[[int], str]:
+    """support_label(mask, m) for masks over m cells, in O(1) per label: the
+    cells among the first ceil(m/2) and among the last floor(m/2) come from two
+    tables that hold the text of every half-width mask, 2 * 2^(m/2) strings in
+    all, not 2^m."""
+    low = m // 2
+
+    def cell_text(first: int, width: int) -> list[str]:
+        # ",c" for each cell c of the mask, cells first..first+width-1
+        return [
+            "".join(f",{first + p}" for p in range(width) if mask >> (width - 1 - p) & 1)
+            for mask in range(1 << width)
+        ]
+
+    high_cells = cell_text(1, m - low)
+    low_cells = cell_text(m - low + 1, low)
+    low_bits = (1 << low) - 1
+    full = (1 << m) - 1
+
+    def label(mask: int) -> str:
+        if mask == 0:
+            return "A_0"
+        if mask == full:
+            return f"A_{m}"
+        cells = high_cells[mask >> low] + low_cells[mask & low_bits]
+        return f"A_{mask.bit_count()}^{{{cells[1:]}}}"
+
+    return label
 
 
 def enumerate_supports(m: int) -> Iterator[int]:
@@ -152,35 +186,63 @@ def _first_supports(m: int, k: int, root: str | None) -> Iterator[int]:
     return (first for first in firsts if m - first.bit_count() >= k)
 
 
-def _chain_tuples(m: int, k: int, root: str | None) -> Iterator[tuple[int, ...]]:
+def _walk(
+    m: int,
+    k: int,
+    root: str | None,
+    start: Callable[[int], _T],
+    step: Callable[[_T, int], _T],
+) -> Iterator[_T]:
+    """Every chain of k steps, in lexicographic order, as start(first) grown by
+    step(prefix, support) one support at a time."""
     full = (1 << m) - 1
+    j_rooted = root == "J"
 
-    def extend(last: int, steps: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def extend(last: int, steps: int, prefix: _T) -> Iterator[_T]:
         if steps == 0:
             yield prefix
             return
-        if root == "J" and steps == 1:
-            if last != full:
-                yield prefix + (full,)
+        if j_rooted and steps == 1:
+            # pruning left at least one cell free, so the step to full is strict
+            yield step(prefix, full)
             return
         comp = full & ~last
         x = 0
+        if steps == 1:
+            while True:
+                x = (x - comp) & comp
+                if x == 0:
+                    return
+                yield step(prefix, last | x)
+        if j_rooted and steps == 2:
+            # the last step goes to full, so this one adds any nonempty part of
+            # comp but all of it; comp is the largest submask, so it comes last
+            while True:
+                x = (x - comp) & comp
+                if x == comp:
+                    return
+                yield step(step(prefix, last | x), full)
         while True:
             x = (x - comp) & comp
             if x == 0:
-                break
+                return
             nxt = last | x
             # prune: must leave room for the remaining strict steps
             if m - nxt.bit_count() >= steps - 1:
-                yield from extend(nxt, steps - 1, prefix + (nxt,))
+                yield from extend(nxt, steps - 1, step(prefix, nxt))
 
     for first in _first_supports(m, k, root):
-        yield from extend(first, k, (first,))
+        yield from extend(first, k, start(first))
+
+
+def _chain_tuples(m: int, k: int, root: str | None) -> Iterator[tuple[int, ...]]:
+    """Each chain's component masks, smallest first."""
+    return _walk(m, k, root, lambda first: (first,), lambda prefix, nxt: prefix + (nxt,))
 
 
 def _count_walk(m: int, k: int, root: str | None) -> int:
-    """The number of chains _chain_tuples yields, found by the same walk, one
-    last component at a time, without building the chains."""
+    """The number of chains _walk yields, found by the same walk, the last free
+    component at a time, without building the chains."""
     full = (1 << m) - 1
     j_rooted = root == "J"
 
@@ -198,6 +260,13 @@ def _count_walk(m: int, k: int, root: str | None) -> int:
                 if x == 0:
                     return n
                 n += 1
+        if j_rooted and steps == 2:
+            # as in _walk: any nonempty part of comp but all of it, then full
+            while True:
+                x = (x - comp) & comp
+                if x == comp:
+                    return n
+                n += 1
         while True:
             x = (x - comp) & comp
             if x == 0:
@@ -210,8 +279,8 @@ def _count_walk(m: int, k: int, root: str | None) -> int:
 
 
 def _group_walk(m: int, k: int, root: str | None) -> Counter:
-    """The chains _chain_tuples yields, counted by size vector, found by the same
-    walk with the running sizes in place of the components."""
+    """The chains _walk yields, counted by size vector, found by the same walk
+    with the running sizes in place of the components."""
     full = (1 << m) - 1
     j_rooted = root == "J"
     grouped: Counter = Counter()
@@ -237,6 +306,18 @@ def _group_walk(m: int, k: int, root: str | None) -> Counter:
                 if n:
                     grouped[sizes + (size,)] += n
             return
+        if j_rooted and steps == 2:
+            # as in _walk: any nonempty part of comp but all of it, then full
+            tally = [0] * (m + 1)
+            while True:
+                x = (x - comp) & comp
+                if x == comp:
+                    break
+                tally[(last | x).bit_count()] += 1
+            for size, n in enumerate(tally):
+                if n:
+                    grouped[sizes + (size, m)] += n
+            return
         while True:
             x = (x - comp) & comp
             if x == 0:
@@ -251,14 +332,6 @@ def _group_walk(m: int, k: int, root: str | None) -> Counter:
     return grouped
 
 
-def _checked_tuples(
-    m: int, k: int, root: str | None, ceiling: int
-) -> Iterator[tuple[int, ...]]:
-    """Refuse an oversized job at the call, then stream its chains' component masks."""
-    _check_job(m, k, root, ceiling)
-    return _chain_tuples(m, k, root)
-
-
 def enumerate_chains(
     m: int,
     k: int,
@@ -267,7 +340,8 @@ def enumerate_chains(
     ceiling: int = DEFAULT_CHAIN_CEILING,
 ) -> Iterator[ChainRecord]:
     """Every strict chain of k+1 supports exactly once, in lexicographic order."""
-    return (ChainRecord(m, t) for t in _checked_tuples(m, k, root, ceiling))
+    _check_job(m, k, root, ceiling)
+    return (ChainRecord(m, t) for t in _chain_tuples(m, k, root))
 
 
 def count_chains(
@@ -310,11 +384,11 @@ def chain_lines(
 ) -> Iterator[str]:
     """Chain listing lines, one per chain, in enumeration order: ChainRecord.to_line
     of each chain, with each support's text formatted once per call."""
-    tuples = _checked_tuples(m, k, root, ceiling)
+    _check_job(m, k, root, ceiling)
     text = lru_cache(maxsize=LISTING_MEMO_SIZE)(
         partial(support_label if labeled else mask_to_bits, m=m)
     )
-    return (" < ".join([text(c) for c in t]) for t in tuples)
+    return _walk(m, k, root, text, lambda line, nxt: f"{line} < {text(nxt)}")
 
 
 @dataclass(frozen=True)
@@ -345,12 +419,17 @@ class HasseDiagram:
         """The DOT text, one line at a time."""
         m = self.cell_count
         bits = [mask_to_bits(n, m) for n in self.nodes]
+        label = _labeller(m)
+        cells = self._cell_bits
         yield "digraph support_lattice {\n"
         yield "  rankdir=BT;\n"
         for node in self.nodes:
-            yield f'  "{bits[node]}" [label="{support_label(node, m)}"];\n'
-        for a, b in self.edges:
-            yield f'  "{bits[a]}" -> "{bits[b]}";\n'
+            yield f'  "{bits[node]}" [label="{label(node)}"];\n'
+        for node in self.nodes:
+            name = bits[node]
+            for bit in cells:
+                if not node & bit:
+                    yield f'  "{name}" -> "{bits[node | bit]}";\n'
         yield "}\n"
 
     def to_dot(self) -> str:
@@ -361,11 +440,12 @@ class HasseDiagram:
         m = self.cell_count
         full = (1 << m) - 1
         names = [json.dumps(mask_to_bits(n, m)) for n in self.nodes]
+        label = _labeller(m)
         yield f'{{\n  "m": {m},\n  "nodes": [\n'
         for node in self.nodes:
-            label = json.dumps(support_label(node, m))
             end = "\n" if node == full else ",\n"
-            yield f'    {{\n      "bits": {names[node]},\n      "label": {label}\n    }}{end}'
+            text = json.dumps(label(node))
+            yield f'    {{\n      "bits": {names[node]},\n      "label": {text}\n    }}{end}'
         yield '  ],\n  "adjacency": {\n'
         cells = self._cell_bits
         for node in self.nodes:
@@ -378,13 +458,14 @@ class HasseDiagram:
     def to_json_dict(self) -> dict:
         m = self.cell_count
         bits = [mask_to_bits(n, m) for n in self.nodes]
-        adjacency: dict[str, list[str]] = {b: [] for b in bits}
-        for a, b in self.edges:
-            adjacency[bits[a]].append(bits[b])
+        label = _labeller(m)
+        cells = self._cell_bits
         return {
             "m": m,
-            "nodes": [{"bits": bits[n], "label": support_label(n, m)} for n in self.nodes],
-            "adjacency": adjacency,
+            "nodes": [{"bits": bits[n], "label": label(n)} for n in self.nodes],
+            "adjacency": {
+                bits[n]: [bits[n | bit] for bit in cells if not n & bit] for n in self.nodes
+            },
         }
 
 

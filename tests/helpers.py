@@ -39,6 +39,23 @@ def brute_force_chains(m, k, root=None):
     return chains
 
 
+def brute_force_lines(m, k, root=None, labeled=False):
+    """The listing lines of brute_force_chains(m, k, root), each support
+    formatted from its cell set, in lexicographic bitstring order."""
+
+    def bits(cells):
+        return "".join("1" if p in cells else "0" for p in range(m))
+
+    def label(cells):
+        if len(cells) in (0, m):
+            return f"A_{len(cells)}"
+        return f"A_{len(cells)}^{{{','.join(str(p + 1) for p in sorted(cells))}}}"
+
+    chains = sorted(brute_force_chains(m, k, root), key=lambda chain: tuple(map(bits, chain)))
+    text = label if labeled else bits
+    return [" < ".join(map(text, chain)) for chain in chains]
+
+
 def size_vector_sums(m, root=None):
     """Per-k sums of the size-vector chain products, by depth-first search.
 

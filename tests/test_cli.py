@@ -278,19 +278,6 @@ class TestClassifyLimit:
         assert err.startswith("infeasible job:") and err.count("\n") == 1
         assert f"{n * n * n * n} cells" in err
 
-    def test_large_member_refused_before_classifying(self, capsys, tmp_path, monkeypatch):
-        n = 120
-        corpus = tmp_path / "distinct.txt"
-        corpus.write_text(distinct_values_text(n))
-
-        def no_classes(_):
-            raise AssertionError("the corpus was classified")
-
-        monkeypatch.setattr(cli, "classify_corpus", no_classes)
-        code, out, err = run_cli(capsys, "classify", "--input", str(corpus))
-        assert code == 3 and out == ""
-        assert err.startswith("infeasible job:") and f"{n**4} cells" in err
-
     def test_large_member_refused_before_grouping(self, capsys, tmp_path, monkeypatch):
         n = 120
         corpus = tmp_path / "distinct.txt"

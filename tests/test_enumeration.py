@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import tracemalloc
 from collections import Counter
@@ -14,6 +15,7 @@ from cutchains import InfeasibleJobError, enumeration
 from helpers import (
     bits_to_set,
     brute_force_chains,
+    brute_force_lines,
     count_chains_top_down,
     hasse_dot_oracle,
     hasse_edge_oracle,
@@ -55,6 +57,20 @@ class TestLabels:
         assert cc.support_label(cc.bits_to_mask("1010"), 4) == "A_2^{1,3}"
         assert cc.support_label(cc.bits_to_mask("0111"), 4) == "A_3^{2,3,4}"
         assert cc.support_label(cc.bits_to_mask("1000"), 4) == "A_1^{1}"
+
+    @pytest.mark.parametrize("m", range(17))
+    def test_labeller_matches_support_label(self, m):
+        # every mask up to 12 cells, then a sample with each half empty and full;
+        # odd m gives the first half the extra cell
+        full = (1 << m) - 1
+        if m <= 12:
+            masks = range(full + 1)
+        else:
+            low = (1 << m // 2) - 1
+            masks = [0, full, low, full ^ low, 1, 1 << (m - 1), full - 1]
+            masks += random.Random(m).sample(range(full + 1), 3000)
+        label = enumeration._labeller(m)
+        assert [label(mask) for mask in masks] == [cc.support_label(mask, m) for mask in masks]
 
 
 class TestEnumerateChains:
@@ -136,6 +152,15 @@ class TestChainLines:
             for k in range(-1, m + 2):
                 got = list(cc.chain_lines(m, k, root, labeled=labeled))
                 assert got == listing_oracle(m, k, root, labeled)
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("root", [None, "O", "J"])
+    def test_matches_brute_force(self, root, labeled):
+        # chain_lines and enumerate_chains share one walk; this oracle does not
+        for m in range(5):
+            for k in range(m + 1):
+                got = list(cc.chain_lines(m, k, root, labeled=labeled))
+                assert got == brute_force_lines(m, k, root, labeled)
 
     @pytest.mark.parametrize("labeled", [False, True])
     @pytest.mark.parametrize("m,k,root", [(13, 0, None), (13, 1, "J")])
@@ -295,6 +320,18 @@ class TestCountingWalks:
             sizes = Counter(tuple(c.bit_count() for c in chain) for chain in chains)
             assert cc.group_by_size_vector(m, k, root) == dict(sorted(sizes.items()))
 
+    def test_j_rooted_groups_past_small_m(self):
+        chains = tuple_walk(9, 3, "J")
+        sizes = Counter(tuple(c.bit_count() for c in chain) for chain in chains)
+        assert len(chains) == 204_630
+        assert cc.group_by_size_vector(9, 3, "J") == dict(sorted(sizes.items()))
+
+    def test_j_rooted_counts_equal_o_rooted(self):
+        # complementing each support maps the J-rooted chains onto the O-rooted ones
+        for m in range(9):
+            for k in range(m + 1):
+                assert cc.count_chains(m, k, "J") == cc.count_chains(m, k, "O")
+
     @pytest.mark.parametrize(
         "m,k,root", [(8, 3, None), (9, 3, "O"), (9, 3, "J"), (12, 1, "O"), (7, 3, None)]
     )
@@ -381,7 +418,7 @@ class TestHasse:
         with pytest.raises(ValueError, match="nonnegative"):
             cc.HasseDiagram(-1)
 
-    @pytest.mark.parametrize("m", range(7))
+    @pytest.mark.parametrize("m", [*range(7), 11, 12])
     def test_exports_match_per_edge_oracle(self, m):
         diagram = cc.hasse_export(m)
         assert diagram.to_dot() == hasse_dot_oracle(diagram)
