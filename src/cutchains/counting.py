@@ -11,7 +11,9 @@ provided and must always agree:
   viewing a chain as a cell -> entry-step assignment and subtracting the
   assignments that collapse a step.  Its value for length k is the k-th
   forward difference of x^m, so a whole row is one difference table: m+1
-  powers and O(m^2) big-integer subtractions.
+  powers and O(m^2) big-integer subtractions.  A total needs no row: the
+  same double sum, regrouped by the base of each power, takes m+1 powers and
+  O(m) products.
 
 The tests keep a plain depth-first search over every size vector as the
 oracle for the table at small m.
@@ -183,7 +185,9 @@ def chain_count_ie(m: int, k: int, root: Root | None = None) -> int:
 
     The sum is the k-th forward difference of x^m at x = 2 (x = 1 rooted);
     rows of every k are computed as one difference table, with m+1 powers
-    and O(m^2) subtractions, rather than by calling this once per k.
+    and O(m^2) subtractions, rather than by calling this once per k, and a
+    total over every k regroups the double sum by the base of each power,
+    with m+1 powers and O(m) products.
     """
     _check_cells(m)
     if root is not None:
@@ -213,6 +217,24 @@ def _ie_row(m: int, root: Root | None) -> list[int]:
         row.append(diffs[0])
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     return row
+
+
+def _ie_total(m: int, root: Root | None) -> int:
+    """sum(_ie_row(m, root)): the same double sum, regrouped by the base of each power.
+
+    With s = 2 unrooted and s = 1 rooted, the sum over k of the alternating
+    sums is the sum over r = 0..m of a(r) * (r+s)^m, where
+    a(r) = sum_{k=r}^{m} (-1)^(k-r) C(k, r).  The coefficients follow from
+    a(m) = 1 and a(r-1) = 2 a(r) + (-1)^(m-r+1) C(m+1, r), so a total takes
+    m+1 powers and O(m) products and holds no row.
+    """
+    s = 2 if root is None else 1
+    total, a, c = 0, 1, 1  # a = a(r), c = C(m+1, r+1), by a running product
+    for r in range(m, -1, -1):
+        total += a * (r + s) ** m
+        c = c * (r + 1) // (m + 1 - r)
+        a = 2 * a - c if (m - r) % 2 == 0 else 2 * a + c
+    return total
 
 
 def _pick_method(method: str) -> str:
@@ -245,9 +267,15 @@ def total_count(n: int, root: Root | None = None, *, method: str = "auto") -> in
     With root "O" or "J", only the classes whose chains contain the empty or
     the full support.  Both methods are exact and always agree; "auto"
     evaluates the closed form, which is faster than the nested summation at
-    every order, and "naive" stays as its oracle.
+    every order, and "naive" stays as its oracle.  The closed form sums the
+    inclusion-exclusion double sum regrouped by the base of each power, m+1
+    powers and O(m) products for m = n*n, without building the per-k row.
     """
     _check_order(n)
+    if root is not None:
+        _check_root(root)
+    if _pick_method(method) == "ie":
+        return _ie_total(n * n, root)
     return sum(_counts_by_k(n * n, root, method))
 
 

@@ -12,12 +12,13 @@ prefix: enumerate_chains as tuples of masks (_chain_tuples), and chain_lines as
 listing lines, each line its parent's text plus one support.  So a listing
 streams in constant memory; chain_lines formats each support once per listing,
 through a memo of at most LISTING_MEMO_SIZE supports that is dropped with the
-listing.  Two counting walks take the same walk without building the chains
-(_count_walk for count_chains, _group_walk for group_by_size_vector): every
-chain is still visited, the last free component of each in a loop, and no
-closed form is used.  The support lattice (HasseDiagram) is computed from m and
-written line by line, as DOT or as JSON, its labels read from two tables of
-half-width cell text (_labeller).
+listing; up to LABELLER_MAX_CELLS cells, a label the memo misses is read from
+_labeller's tables.  Two counting walks take the same walk without building
+the chains (_count_walk for count_chains, _group_walk for
+group_by_size_vector): every chain is still visited, the last free component
+of each in a loop, and no closed form is used.  The support lattice
+(HasseDiagram) is computed from m and written line by line, as DOT or as JSON,
+its labels read from two tables of half-width cell text (_labeller).
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ DEFAULT_CHAIN_CEILING = 10**7
 # raised `enumerate --m 20 --k 0 --list --labels` from 18 to 39 MiB peak RSS and
 # was no faster.
 LISTING_MEMO_SIZE = 1 << 12
+
+# Most cells for which a labelled listing reads its labels from _labeller's two
+# half-width tables, 2 * 2^12 strings at 24 cells.  Past it, the only jobs under
+# the default ceiling are single chains (k = 0, rooted), whose tables would
+# still take 2^(m/2) strings, so each support is labelled by support_label.
+LABELLER_MAX_CELLS = 24
 
 # Largest job size, as (k+1) * m * log2(k+2), about the bits of the k+1 powers
 # that chain_count_ie multiplies out, whose exact projection is computed before
@@ -385,9 +392,13 @@ def chain_lines(
     """Chain listing lines, one per chain, in enumeration order: ChainRecord.to_line
     of each chain, with each support's text formatted once per call."""
     _check_job(m, k, root, ceiling)
-    text = lru_cache(maxsize=LISTING_MEMO_SIZE)(
-        partial(support_label if labeled else mask_to_bits, m=m)
-    )
+    if not labeled:
+        support_text = partial(mask_to_bits, m=m)
+    elif m <= LABELLER_MAX_CELLS:
+        support_text = _labeller(m)
+    else:
+        support_text = partial(support_label, m=m)
+    text = lru_cache(maxsize=LISTING_MEMO_SIZE)(support_text)
     return _walk(m, k, root, text, lambda line, nxt: f"{line} < {text(nxt)}")
 
 

@@ -221,6 +221,16 @@ class TestInclusionExclusion:
             want = [cc.chain_count_ie(m, k, root) for k in range(m + 1)]
             assert cc.counting._ie_row(m, root) == want
 
+    @pytest.mark.parametrize("root", [None, "O", "J"])
+    def test_total_matches_difference_row(self, root):
+        for m in [*range(151), *(n * n for n in range(13, 21))]:
+            assert cc.counting._ie_total(m, root) == sum(cc.counting._ie_row(m, root))
+
+    def test_total_regrouped_by_power(self):
+        # a(2), a(1), a(0) = 1, -1, 1 over the bases m+s..s: 4 - 9 + 16 and 1 - 4 + 9
+        assert cc.counting._ie_total(2, None) == 11
+        assert cc.counting._ie_total(2, "O") == 6
+
 
 class TestTotals:
     def test_sequence_values(self):
@@ -246,6 +256,18 @@ class TestTotals:
         for n in range(1, 19):
             for root in ("O", "J"):
                 assert cc.total_count(n, root, method="ie") == 2 * fubini[n * n]
+
+    def test_total_holds_no_row(self):
+        # the per-k row over 1,444 cells alone takes about 2.4 MiB
+        tracemalloc.start()
+        try:
+            value = cc.total_count(38)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == 2 * cc.total_count(38, "O") - 1  # 4 F(m) - 1 against 2 F(m)
+        assert len(str(value)) == 4168
+        assert peak < 2**16
 
     def test_bad_method(self):
         with pytest.raises(ValueError):

@@ -163,9 +163,11 @@ class TestChainLines:
                 assert got == brute_force_lines(m, k, root, labeled)
 
     @pytest.mark.parametrize("labeled", [False, True])
-    @pytest.mark.parametrize("m,k,root", [(13, 0, None), (13, 1, "J")])
+    @pytest.mark.parametrize(
+        "m,k,root", [(13, 0, None), (13, 1, "J"), (14, 0, None), (14, 1, "O")]
+    )
     def test_matches_records_past_memo_bound(self, m, k, root, labeled):
-        # 8192 distinct supports, twice what the memo keeps
+        # 8192 or 16384 distinct supports, two or four times what the memo keeps
         assert 2**m > enumeration.LISTING_MEMO_SIZE
         got = list(cc.chain_lines(m, k, root, labeled=labeled))
         assert got == listing_oracle(m, k, root, labeled)
@@ -176,6 +178,16 @@ class TestChainLines:
         monkeypatch.setattr(enumeration, "LISTING_MEMO_SIZE", 3)
         got = list(cc.chain_lines(5, 2, labeled=labeled))
         assert got == listing_oracle(5, 2, None, labeled)
+
+    @pytest.mark.parametrize("m,root,line", [(25, "O", "A_0"), (2000, "J", "A_2000")])
+    def test_single_chain_over_many_cells(self, m, root, line):
+        # past LABELLER_MAX_CELLS, no 2^(m/2) label table is built for one chain
+        assert list(cc.chain_lines(m, 0, root, labeled=True)) == [line]
+
+    def test_labels_past_labeller_bound(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "LABELLER_MAX_CELLS", 4)
+        got = list(cc.chain_lines(5, 2, labeled=True))
+        assert got == listing_oracle(5, 2, None, True)
 
     def test_listing_in_constant_memory(self):
         tracemalloc.start()

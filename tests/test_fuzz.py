@@ -143,9 +143,10 @@ def test_cli_on_arbitrary_files_ends_in_documented_exit(tmp_path, first, second)
 # Integer arguments for the commands that read no file.  Each drawn job is
 # refused before any work (exit 3), rejected as a usage error (exit 2), or
 # accepted and cheap: nested summation to n = 8, or to n = 16 for k <= 3;
-# counting tables to n = 20; enumeration under a ceiling of at most 10^5
-# chains.  The explicit examples sit on both sides of each refusal boundary;
-# the slowest of them, `lattice --m 16`, takes about 0.8 s.
+# counting tables to n = 20; totals and sequences by the closed form to the
+# digit limit's n = 38; enumeration under a ceiling of at most 10^5 chains.
+# The explicit examples sit on both sides of each refusal boundary; the
+# slowest of them, `sequence --max-n 38`, takes about 0.6 s.
 INTEGER_WALL_BOUND_S = 5.0
 INTEGER_EXIT_CODES = (0, EXIT_USAGE, EXIT_INFEASIBLE)
 
@@ -172,6 +173,7 @@ huge = st.integers(39, 10**4)
 count_argv = st.one_of(
     _cat(st.just(["count"]), _arg("--n", st.integers(-2, 8)), _opt("--k", st.integers(-3, 70)),
          roots, any_method),
+    _cat(st.just(["count"]), _arg("--n", st.integers(9, 38)), roots, fast),
     # nested summation is refused from n = 17, whatever k
     _cat(st.just(["count"]), _arg("--n", st.integers(14, 18)), _arg("--k", st.integers(-2, 3)),
          roots, naive),
@@ -197,9 +199,12 @@ def _max_n(command):
     )
 
 
+b_file = st.sampled_from([[], ["--b-file"]])
 table_argv = st.one_of(
     _cat(_max_n("table"), roots, st.sampled_from([[], ["--format", "json"]])),
-    _cat(_max_n("sequence"), st.sampled_from([[], ["--b-file"]])),
+    _cat(_max_n("sequence"), b_file),
+    # a sequence builds no rows, so it is cheap up to the digit limit
+    _cat(st.just(["sequence"]), _arg("--max-n", st.integers(21, 38)), fast, b_file),
 )
 # mostly orders small enough to enumerate, the rest up to 10^6 cells, whose
 # costly projections are refused by a lower bound without exact arithmetic
@@ -234,6 +239,7 @@ def _run_under_limit(argv, limit):
 @example(["count", "--n", "16", "--k", "1", "--method", "naive"], 4300)
 @example(["count", "--n", "17", "--k", "1", "--method", "naive"], 4300)
 @example(["count", "--n", "38", "--k", "1444"], 640)
+@example(["count", "--n", "38", "--root", "J"], 640)
 @example(["count", "--n", "39", "--k", "1521"], 0)
 @example(["count", "--n", "2000", "--k", "1"], 0)
 def test_count_on_integer_arguments(argv, limit):
@@ -243,6 +249,7 @@ def test_count_on_integer_arguments(argv, limit):
 @settings(max_examples=25)
 @given(table_argv, caller_limits)
 @example(["table", "--max-n", "17", "--method", "naive"], 4300)
+@example(["sequence", "--max-n", "38", "--b-file"], 0)
 @example(["sequence", "--max-n", "39"], 0)
 def test_table_and_sequence_on_integer_arguments(argv, limit):
     _run_under_limit(argv, limit)
