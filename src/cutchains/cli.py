@@ -169,7 +169,8 @@ def _load_corpus(path: str, fmt: str) -> list[FuzzyMatrix]:
 def _check_count_job(m: int, method: str, k: int | None = None, root: str | None = None) -> None:
     """Refuse, before counting, a job too slow to count or too long to print.
 
-    Nested summation is refused above NAIVE_MAX_CELLS.
+    A k outside 0..m counts no chain under every method, so it is never
+    refused.  Nested summation is refused above NAIVE_MAX_CELLS.
 
     A count is printed only up to MAX_DIGITS digits.  Counts are bounded
     without computing them: a chain of length k is a map from the m cells into
@@ -177,12 +178,12 @@ def _check_count_job(m: int, method: str, k: int | None = None, root: str | None
     over every k is at most 4*Fubini(m), where
     Fubini(m) = sum_j j^m / 2^(j+1) < m!/ln(2)^(m+1).
     """
+    if k is not None and not 0 <= k <= m:
+        return
     if counting._pick_method(method) == "naive" and m > NAIVE_MAX_CELLS:
         raise InfeasibleJobError(
             f"nested summation over m={m} cells is above its limit of {NAIVE_MAX_CELLS} cells"
         )
-    if k is not None and not 0 <= k <= m:
-        return
     ln_bound = math.log(4) + math.lgamma(m + 1) - (m + 1) * math.log(math.log(2))
     log10_bound = ln_bound / math.log(10)
     if k is not None:

@@ -131,7 +131,9 @@ def _nested_table(m: int, k: int) -> list[list[int]]:
     takes O(m^2 k) big-integer operations instead of one visit per size
     vector.  W[m][k] counts the O-rooted chains of length k, and so the
     J-rooted ones: complementing every support reverses a chain and maps one
-    set onto the other.
+    set onto the other.  An unrooted chain of length k starts at the empty
+    support or, with the empty support put in front, becomes an O-rooted chain
+    of length k+1: there are W[m][k] + W[m][k+1] of them.
     """
     table: list[list[int]] = []
     row = [1]  # Pascal row r, advanced by Pascal's rule
@@ -145,17 +147,13 @@ def _nested_table(m: int, k: int) -> list[list[int]]:
     return table
 
 
-def _sum_over_first(m: int, k: int, table: list[list[int]]) -> int:
-    """Sum over every first component size s_0 of C(m, s_0) * W[m - s_0][k]."""
-    return sum(comb(m, s0) * table[m - s0][k] for s0 in range(m - k + 1))
-
-
 def chain_count(m: int, k: int) -> int:
     """Number of strict chains of k+1 supports over m cells (nested summation)."""
     _check_cells(m)
     if k < 0 or k > m:
         return 0
-    return _sum_over_first(m, k, _nested_table(m, k))
+    row = _nested_table(m, k + 1)[m]
+    return row[k] + row[k + 1]
 
 
 def chain_count_rooted(m: int, k: int, root: Root) -> int:
@@ -170,8 +168,8 @@ def chain_count_rooted(m: int, k: int, root: Root) -> int:
 def chain_counts_by_k(m: int) -> list[int]:
     """All per-k chain counts over m cells from one nested-sum table."""
     _check_cells(m)
-    table = _nested_table(m, m)
-    return [_sum_over_first(m, k, table) for k in range(m + 1)]
+    row = _nested_table(m, m)[m] + [0]
+    return list(map(add, row, row[1:]))
 
 
 def chain_count_ie(m: int, k: int, root: Root | None = None) -> int:

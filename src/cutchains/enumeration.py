@@ -3,22 +3,24 @@
 Supports over m cells are bitmasks in CrispMatrix's bit order (bit m-1-p holds
 cell p+1), so numeric order on masks is lexicographic order on the bitstrings.
 Chains are found by a serial walk that recurses on the next strictly larger
-support, pruning branches that cannot reach the requested length.  Each job is
-sized before its first chain is drawn and refused above the caller's chain
-ceiling: by the exact closed-form count (rooted or not), or, where that count
-would take long to compute, by an O(1) lower bound that already exceeds the
-ceiling.  One walk (_walk) streams the chains, each grown from its parent's
-prefix: enumerate_chains as tuples of masks (_chain_tuples), and chain_lines as
-listing lines, each line its parent's text plus one support.  So a listing
-streams in constant memory; chain_lines formats each support once per listing,
-through a memo of at most LISTING_MEMO_SIZE supports that is dropped with the
-listing; up to LABELLER_MAX_CELLS cells, a label the memo misses is read from
-_labeller's tables.  Two counting walks take the same walk without building
-the chains (_count_walk for count_chains, _group_walk for
-group_by_size_vector): every chain is still visited, the last free component
-of each in a loop, and no closed form is used.  The support lattice
-(HasseDiagram) is computed from m and written line by line, as DOT or as JSON,
-its labels read from two tables of half-width cell text (_labeller).
+support, pruning branches that cannot reach the requested length.  A J-rooted
+chain of k >= 1 steps is walked as k-1 free steps whose last support leaves at
+least one cell out, followed by the full support.  Each job is sized before its
+first chain is drawn and refused above the caller's chain ceiling: by the exact
+closed-form count (rooted or not), or, where that count would take long to
+compute, by an O(1) lower bound that already exceeds the ceiling.  One walk
+(_walk) streams the chains, each grown from its parent's prefix:
+enumerate_chains as tuples of masks (_chain_tuples), and chain_lines as listing
+lines, each line its parent's text plus one support.  So a listing streams in
+constant memory; chain_lines formats each support once per listing, through a
+memo of at most LISTING_MEMO_SIZE supports that is dropped with the listing; up
+to LABELLER_MAX_CELLS cells, a label the memo misses is read from _labeller's
+tables.  Two counting walks take the same walk without building the chains
+(_count_walk for count_chains, _group_walk for group_by_size_vector): every
+chain is still visited, the last free component of each in a loop, and no
+closed form is used.  The support lattice (HasseDiagram) is computed from m and
+written line by line, as DOT or as JSON, its labels read from two tables of
+half-width cell text (_labeller).
 """
 
 from __future__ import annotations
@@ -201,45 +203,38 @@ def _walk(
     step: Callable[[_T, int], _T],
 ) -> Iterator[_T]:
     """Every chain of k steps, in lexicographic order, as start(first) grown by
-    step(prefix, support) one support at a time."""
+    step(prefix, support) one support at a time.  A J-rooted chain of k >= 1
+    steps is k-1 free steps, the last leaving a cell out, then the full support."""
     full = (1 << m) - 1
-    j_rooted = root == "J"
+    j_tail = root == "J" and k > 0
 
     def extend(last: int, steps: int, prefix: _T) -> Iterator[_T]:
         if steps == 0:
-            yield prefix
-            return
-        if j_rooted and steps == 1:
-            # pruning left at least one cell free, so the step to full is strict
-            yield step(prefix, full)
+            yield step(prefix, full) if j_tail else prefix
             return
         comp = full & ~last
         x = 0
         if steps == 1:
+            # before a J tail, any nonempty part of comp but comp, which comes last
+            stop = comp if j_tail else 0
             while True:
                 x = (x - comp) & comp
-                if x == 0:
+                if x == stop:
                     return
-                yield step(prefix, last | x)
-        if j_rooted and steps == 2:
-            # the last step goes to full, so this one adds any nonempty part of
-            # comp but all of it; comp is the largest submask, so it comes last
-            while True:
-                x = (x - comp) & comp
-                if x == comp:
-                    return
-                yield step(step(prefix, last | x), full)
+                leaf = step(prefix, last | x)
+                yield step(leaf, full) if j_tail else leaf
+        # prune: must leave room for the remaining strict steps
+        room = steps - 1 + j_tail
         while True:
             x = (x - comp) & comp
             if x == 0:
                 return
             nxt = last | x
-            # prune: must leave room for the remaining strict steps
-            if m - nxt.bit_count() >= steps - 1:
+            if m - nxt.bit_count() >= room:
                 yield from extend(nxt, steps - 1, step(prefix, nxt))
 
     for first in _first_supports(m, k, root):
-        yield from extend(first, k, start(first))
+        yield from extend(first, k - j_tail, start(first))
 
 
 def _chain_tuples(m: int, k: int, root: str | None) -> Iterator[tuple[int, ...]]:
@@ -251,91 +246,71 @@ def _count_walk(m: int, k: int, root: str | None) -> int:
     """The number of chains _walk yields, found by the same walk, the last free
     component at a time, without building the chains."""
     full = (1 << m) - 1
-    j_rooted = root == "J"
+    j_tail = root == "J" and k > 0
 
     def count(last: int, steps: int) -> int:
         if steps == 0:
             return 1
-        if j_rooted and steps == 1:
-            return 1 if last != full else 0
         comp = full & ~last
         n = 0
         x = 0
         if steps == 1:
+            stop = comp if j_tail else 0
             while True:
                 x = (x - comp) & comp
-                if x == 0:
+                if x == stop:
                     return n
                 n += 1
-        if j_rooted and steps == 2:
-            # as in _walk: any nonempty part of comp but all of it, then full
-            while True:
-                x = (x - comp) & comp
-                if x == comp:
-                    return n
-                n += 1
+        room = steps - 1 + j_tail
         while True:
             x = (x - comp) & comp
             if x == 0:
                 return n
             nxt = last | x
-            if m - nxt.bit_count() >= steps - 1:
+            if m - nxt.bit_count() >= room:
                 n += count(nxt, steps - 1)
 
-    return sum(count(first, k) for first in _first_supports(m, k, root))
+    return sum(count(first, k - j_tail) for first in _first_supports(m, k, root))
 
 
 def _group_walk(m: int, k: int, root: str | None) -> Counter:
     """The chains _walk yields, counted by size vector, found by the same walk
     with the running sizes in place of the components."""
     full = (1 << m) - 1
-    j_rooted = root == "J"
+    j_tail = root == "J" and k > 0
+    tail = (m,) * j_tail
     grouped: Counter = Counter()
 
     def walk(last: int, steps: int, sizes: tuple[int, ...]) -> None:
         if steps == 0:
-            grouped[sizes] += 1
-            return
-        if j_rooted and steps == 1:
-            if last != full:
-                grouped[sizes + (m,)] += 1
+            grouped[sizes + tail] += 1
             return
         comp = full & ~last
         x = 0
         if steps == 1:
+            stop = comp if j_tail else 0
             tally = [0] * (m + 1)
             while True:
                 x = (x - comp) & comp
-                if x == 0:
+                if x == stop:
                     break
                 tally[(last | x).bit_count()] += 1
             for size, n in enumerate(tally):
                 if n:
-                    grouped[sizes + (size,)] += n
+                    grouped[sizes + (size,) + tail] += n
             return
-        if j_rooted and steps == 2:
-            # as in _walk: any nonempty part of comp but all of it, then full
-            tally = [0] * (m + 1)
-            while True:
-                x = (x - comp) & comp
-                if x == comp:
-                    break
-                tally[(last | x).bit_count()] += 1
-            for size, n in enumerate(tally):
-                if n:
-                    grouped[sizes + (size, m)] += n
-            return
+        room = steps - 1 + j_tail
         while True:
             x = (x - comp) & comp
             if x == 0:
                 return
             nxt = last | x
             size = nxt.bit_count()
-            if m - size >= steps - 1:
+            if m - size >= room:
                 walk(nxt, steps - 1, sizes + (size,))
 
     for first in _first_supports(m, k, root):
-        walk(first, k, (first.bit_count(),))
+        walk(first, k - j_tail, (first.bit_count(),))
     return grouped
 
 

@@ -90,8 +90,8 @@ def parse_value(text: str) -> Fraction:
 def format_value(value: Fraction) -> str:
     """Format a rational so that parse_value(format_value(x)) == x.
 
-    Values with a 2^a * 5^b denominator print as exact decimals ("0.25");
-    everything else prints as "p/q" in lowest terms.
+    Values with a 2^a * 5^b denominator, a and b at most MAX_DIGITS, print as
+    exact decimals ("0.25"); everything else prints as "p/q" in lowest terms.
     """
     if value.denominator == 1:
         return str(value.numerator)
@@ -103,9 +103,8 @@ def format_value(value: Fraction) -> str:
     while rest % 5 == 0:
         rest //= 5
         fives += 1
-    if rest != 1:
+    if rest != 1 or (digits := max(twos, fives)) > MAX_DIGITS:
         return f"{value.numerator}/{value.denominator}"
-    digits = max(twos, fives)
     scaled = value.numerator * 10**digits // value.denominator
     text = str(scaled).rjust(digits + 1, "0")
     return f"{text[:-digits]}.{text[-digits:]}"

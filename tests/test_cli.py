@@ -219,6 +219,13 @@ class TestNaiveLimit:
         assert code == 3 and out == ""
         assert err.startswith("infeasible job:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("k_argv", [["--k", "290"], ["--k", "-1", "--root", "J"]])
+    def test_k_out_of_range_counts_zero_past_limit(self, capsys, k_argv):
+        # no chain has a length outside 0..m, whatever the method
+        argv = ["count", "--n", "17", *k_argv]
+        for method in ("naive", "ie"):
+            assert run_cli(capsys, *argv, "--method", method) == (0, "0\n", "")
+
     def test_largest_naive_count_served(self, capsys):
         assert NAIVE_MAX_CELLS == 16 * 16
         _, ie, _ = run_cli(capsys, "count", "--n", "16", "--method", "ie")

@@ -293,14 +293,21 @@ class TestGroupBySizeVector:
         assert cc.group_by_size_vector(2, 2) == {(0, 1, 2): 2}
 
     def test_rooted_groups(self):
-        for m in range(6):
+        # binomial products and the nested table, sharing no code with the walks
+        for m in range(8):
             for k in range(m + 1):
-                for root in ("O", "J"):
+                for root in (None, "O", "J"):
                     groups = cc.group_by_size_vector(m, k, root)
                     for sizes, count in groups.items():
+                        assert len(sizes) == k + 1
                         assert count == cc.SizeVector(m, sizes).count_chains()
-                        assert (sizes[0] == 0) if root == "O" else (sizes[-1] == m)
-                    assert sum(groups.values()) == cc.chain_count_rooted(m, k, root)
+                        assert root != "O" or sizes[0] == 0
+                        assert root != "J" or sizes[-1] == m
+                    if root is None:
+                        nested = cc.chain_count(m, k)
+                    else:
+                        nested = cc.chain_count_rooted(m, k, root)
+                    assert sum(groups.values()) == nested
 
     def test_group_sums_match_chain_count(self):
         for m in range(5):

@@ -174,7 +174,7 @@ count_argv = st.one_of(
     _cat(st.just(["count"]), _arg("--n", st.integers(-2, 8)), _opt("--k", st.integers(-3, 70)),
          roots, any_method),
     _cat(st.just(["count"]), _arg("--n", st.integers(9, 38)), roots, fast),
-    # nested summation is refused from n = 17, whatever k
+    # nested summation is refused from n = 17, for k in 0..m
     _cat(st.just(["count"]), _arg("--n", st.integers(14, 18)), _arg("--k", st.integers(-2, 3)),
          roots, naive),
     # the digit limit: k = m is printable at n = 38, not at n = 39

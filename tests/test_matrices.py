@@ -147,6 +147,12 @@ class TestParseFormat:
         assert format_value(value) == text
 
     @given(st.fractions(min_value=0, max_value=1, max_denominator=1000))
+    # a 2^a * 5^b denominator takes max(a, b) decimal digits, read up to MAX_DIGITS
+    @example(Fraction(1, 2**MAX_DIGITS))
+    @example(Fraction(1, 2 ** (MAX_DIGITS + 1)))
+    @example(Fraction(2**5000 - 1, 2**5000))
+    @example(Fraction(1, 2**14000))
+    @example(Fraction(1, 5 ** (MAX_DIGITS + 1)))
     def test_parse_format_round_trip(self, value):
         assert parse_value(format_value(value)) == value
 
