@@ -10,10 +10,10 @@ provided and must always agree:
 * an inclusion-exclusion closed form with O(k) big-integer terms, obtained by
   viewing a chain as a cell -> entry-step assignment and subtracting the
   assignments that collapse a step.  Its value for length k is the k-th
-  forward difference of x^m, so a whole row is one difference table: m+1
-  powers and O(m^2) big-integer subtractions.  A total needs no row: the
-  same double sum, regrouped by the base of each power, takes m+1 powers and
-  O(m) products.
+  forward difference of x^m; the product rule for differences sweeps each row
+  from the last, so a table to order N costs about N^4 small-by-big
+  products.  A total needs no row: the same double sum, regrouped by the base
+  of each power, takes m+1 powers and O(m) products.
 
 The tests keep a plain depth-first search over every size vector as the
 oracle for the table at small m.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from operator import add
 from typing import Iterator, Literal
 
@@ -181,11 +181,10 @@ def chain_count_ie(m: int, k: int, root: Root | None = None) -> int:
     fixes its empty first term (or, by complementation, its full last term),
     which removes one slot and gives chain_count_rooted(m, k, root).
 
-    The sum is the k-th forward difference of x^m at x = 2 (x = 1 rooted);
-    rows of every k are computed as one difference table, with m+1 powers
-    and O(m^2) subtractions, rather than by calling this once per k, and a
-    total over every k regroups the double sum by the base of each power,
-    with m+1 powers and O(m) products.
+    The sum is the k-th forward difference of x^m at x = 2 (x = 1 rooted).
+    A table's rows come from one sweep over m (_ie_rows, about N^4
+    small-by-big products to order N), and a total over every k from m+1
+    powers and O(m) products (_ie_total), not from calls to this per k.
     """
     _check_cells(m)
     if root is not None:
@@ -201,24 +200,24 @@ def chain_count_ie(m: int, k: int, root: Root | None = None) -> int:
     return total
 
 
-def _ie_row(m: int, root: Root | None) -> list[int]:
-    """chain_count_ie(m, k, root) for k = 0..m, as forward differences of x^m.
+def _ie_rows(max_m: int, root: Root | None) -> Iterator[list[int]]:
+    """[chain_count_ie(m, k, root) for k in range(m + 1)] for m = 0..max_m, in turn.
 
-    Entry k is the k-th difference at x = 2 unrooted and x = 1 rooted, the
-    same alternating sum; Pascal's rule in the repeated differencing supplies
-    its binomials.
+    Entry k of row m is the k-th forward difference of x^m at x = s, with
+    s = 2 unrooted and s = 1 rooted.  The product rule for differences, applied
+    to x * x^(m-1), gives g(m, k) = (k+s) g(m-1, k) + k g(m-1, k-1) from
+    g(0, 0) = 1, so row m costs 2(m+1) small-by-big products.
     """
-    start = 2 if root is None else 1
-    diffs = [b**m for b in range(start, start + m + 1)]
-    row = []
-    while diffs:
-        row.append(diffs[0])
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return row
+    s = 2 if root is None else 1
+    row = [1]
+    yield row
+    for _ in range(max_m):
+        row = [(k + s) * a + k * b for k, (a, b) in enumerate(zip([*row, 0], [0, *row]))]
+        yield row
 
 
 def _ie_total(m: int, root: Root | None) -> int:
-    """sum(_ie_row(m, root)): the same double sum, regrouped by the base of each power.
+    """Sum of row m of _ie_rows: the same double sum, regrouped by the base of each power.
 
     With s = 2 unrooted and s = 1 rooted, the sum over k of the alternating
     sums is the sum over r = 0..m of a(r) * (r+s)^m, where
@@ -244,16 +243,8 @@ def _pick_method(method: str) -> str:
     raise ValueError(f'method must be "auto", "naive", or "ie", got {method!r}')
 
 
-def _counts_by_k(m: int, root: Root | None, method: str) -> list[int]:
-    """Per-k counts over m cells, unrooted (root None) or rooted, by the picked method.
-
-    Each method reads every k from one table: the forward differences or the
-    nested summation.
-    """
-    if root is not None:
-        _check_root(root)
-    if _pick_method(method) == "ie":
-        return _ie_row(m, root)
+def _nested_row(m: int, root: Root | None) -> list[int]:
+    """Per-k counts over m cells, unrooted (root None) or rooted, from one nested-sum table."""
     if root is None:
         return chain_counts_by_k(m)
     return _nested_table(m, m)[m]
@@ -274,7 +265,7 @@ def total_count(n: int, root: Root | None = None, *, method: str = "auto") -> in
         _check_root(root)
     if _pick_method(method) == "ie":
         return _ie_total(n * n, root)
-    return sum(_counts_by_k(n * n, root, method))
+    return sum(_nested_row(n * n, root))
 
 
 def flag_count(n: int) -> int:
@@ -338,14 +329,18 @@ class CountTable:
 def count_table(max_n: int, *, root: Root | None = None, method: str = "auto") -> CountTable:
     """Full table of per-k counts and totals for n = 0..max_n.
 
-    method selects the path for each row, rooted or not, as for total_count.
+    method selects the path as for total_count: the rows at m = n*n of one
+    _ie_rows sweep, about max_n^4 small-by-big products, or one nested table
+    per row.  A lone total (total_count) takes m+1 powers and builds no row.
     """
     _check_order(max_n)
-    rows = []
-    for n in range(max_n + 1):
-        counts = _counts_by_k(n * n, root, method)
-        rows.append(CountRow(n, tuple(counts), sum(counts)))
-    return CountTable(tuple(rows), root)
+    if root is not None:
+        _check_root(root)
+    if _pick_method(method) == "ie":
+        rows = [c for m, c in enumerate(_ie_rows(max_n * max_n, root)) if isqrt(m) ** 2 == m]
+    else:
+        rows = [_nested_row(n * n, root) for n in range(max_n + 1)]
+    return CountTable(tuple(CountRow(n, tuple(c), sum(c)) for n, c in enumerate(rows)), root)
 
 
 def sequence(max_n: int, *, method: str = "auto") -> list[tuple[int, int]]:

@@ -105,9 +105,9 @@ def format_value(value: Fraction) -> str:
         fives += 1
     if rest != 1 or (digits := max(twos, fives)) > MAX_DIGITS:
         return f"{value.numerator}/{value.denominator}"
-    scaled = value.numerator * 10**digits // value.denominator
-    text = str(scaled).rjust(digits + 1, "0")
-    return f"{text[:-digits]}.{text[-digits:]}"
+    sign = "-" if value < 0 else ""
+    whole, frac = divmod(abs(value.numerator) * 10**digits // value.denominator, 10**digits)
+    return f"{sign}{whole}.{frac:0{digits}d}"
 
 
 def _coerce_entry(value) -> Fraction:

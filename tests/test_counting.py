@@ -217,14 +217,15 @@ class TestInclusionExclusion:
 
     @pytest.mark.parametrize("root", [None, "O", "J"])
     def test_difference_row_matches_per_k_sums(self, root):
-        for m in range(61):
-            want = [cc.chain_count_ie(m, k, root) for k in range(m + 1)]
-            assert cc.counting._ie_row(m, root) == want
+        rows = list(cc.counting._ie_rows(60, root))
+        assert len(rows) == 61
+        for m, row in enumerate(rows):
+            assert row == [cc.chain_count_ie(m, k, root) for k in range(m + 1)]
 
     @pytest.mark.parametrize("root", [None, "O", "J"])
     def test_total_matches_difference_row(self, root):
-        for m in [*range(151), *(n * n for n in range(13, 21))]:
-            assert cc.counting._ie_total(m, root) == sum(cc.counting._ie_row(m, root))
+        for m, row in enumerate(cc.counting._ie_rows(400, root)):
+            assert cc.counting._ie_total(m, root) == sum(row)
 
     def test_total_regrouped_by_power(self):
         # a(2), a(1), a(0) = 1, -1, 1 over the bases m+s..s: 4 - 9 + 16 and 1 - 4 + 9
@@ -273,7 +274,7 @@ class TestTotals:
         with pytest.raises(ValueError):
             cc.total_count(2, method="guess")
 
-    @pytest.mark.parametrize("method", ["naive", "ie"])
+    @pytest.mark.parametrize("method", ["naive", "ie", "auto"])
     def test_bad_root(self, method):
         with pytest.raises(ValueError, match="root must be"):
             cc.total_count(2, "X", method=method)
@@ -331,6 +332,24 @@ class TestTableAndSequence:
             (512, 19171, 223290, 1225230, 3759840, 6972840, 8013600, 5594400, 2177280, 362880),
         ]
         assert [row.total for row in table.rows] == [1, 3, 299, 28349043]
+
+    @pytest.mark.parametrize("root", [None, "O", "J"])
+    def test_sweep_matches_nested_tables(self, root):
+        for n in range(5):
+            assert cc.count_table(n, root=root) == cc.count_table(n, root=root, method="naive")
+
+    def test_one_sweep_per_table(self, monkeypatch):
+        calls = []
+        sweep = cc.counting._ie_rows
+
+        def counted(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(cc.counting, "_ie_rows", counted)
+        table = cc.count_table(6, root="J")
+        assert calls == [(36, "J")]
+        assert table.rows[6].counts == tuple(cc.chain_count_ie(36, k, "J") for k in range(37))
 
     def test_rooted_table(self):
         table = cc.count_table(2, root="O")

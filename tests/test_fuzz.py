@@ -143,10 +143,11 @@ def test_cli_on_arbitrary_files_ends_in_documented_exit(tmp_path, first, second)
 # Integer arguments for the commands that read no file.  Each drawn job is
 # refused before any work (exit 3), rejected as a usage error (exit 2), or
 # accepted and cheap: nested summation to n = 8, or to n = 16 for k <= 3;
-# counting tables to n = 20; totals and sequences by the closed form to the
-# digit limit's n = 38; enumeration under a ceiling of at most 10^5 chains.
-# The explicit examples sit on both sides of each refusal boundary; the
-# slowest of them, `sequence --max-n 38`, takes about 0.6 s.
+# closed-form tables, one row sweep each, to n = 34; totals and sequences by
+# the closed form to the digit limit's n = 38; enumeration under a ceiling of
+# at most 10^5 chains.  The explicit examples sit on both sides of each
+# refusal boundary; the slowest of them, `table --max-n 34 --format json`,
+# takes about 2 s.
 INTEGER_WALL_BOUND_S = 5.0
 INTEGER_EXIT_CODES = (0, EXIT_USAGE, EXIT_INFEASIBLE)
 
@@ -193,7 +194,7 @@ def _max_n(command):
 
     return st.one_of(
         sized(st.integers(-2, 9), any_method),
-        sized(st.integers(10, 20), fast),
+        sized(st.integers(10, 34), fast),
         sized(st.integers(17, 10**4), naive),
         sized(huge, fast),
     )
@@ -249,6 +250,7 @@ def test_count_on_integer_arguments(argv, limit):
 @settings(max_examples=25)
 @given(table_argv, caller_limits)
 @example(["table", "--max-n", "17", "--method", "naive"], 4300)
+@example(["table", "--max-n", "34", "--format", "json", "--root", "J"], 0)
 @example(["sequence", "--max-n", "38", "--b-file"], 0)
 @example(["sequence", "--max-n", "39"], 0)
 def test_table_and_sequence_on_integer_arguments(argv, limit):

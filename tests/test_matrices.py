@@ -153,6 +153,11 @@ class TestParseFormat:
     @example(Fraction(2**5000 - 1, 2**5000))
     @example(Fraction(1, 2**14000))
     @example(Fraction(1, 5 ** (MAX_DIGITS + 1)))
+    # the sign prints apart from the digits, and no part passes the digit limit
+    @example(Fraction(-1, 400))
+    @example(Fraction(-1, 40))
+    @example(Fraction(-5, 4))
+    @example(Fraction(10**3000 + 1, 2**3000))
     def test_parse_format_round_trip(self, value):
         assert parse_value(format_value(value)) == value
 
