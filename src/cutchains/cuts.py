@@ -5,6 +5,8 @@ increasing chain of crisp matrices.  Two fuzzy matrices are equivalent exactly
 when they realize the same chain, so the chain (with levels discarded) is a
 canonical signature for the equivalence class.  Both decision procedures are
 implemented: the direct entrywise definition and the cut-chain comparison.
+Cuts are stored as int support masks; a `CrispMatrix` is built only for an
+alpha cut and for `ChainSignature.cuts`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, NamedTuple
 
-from .matrices import ONE, ZERO, CrispMatrix, FuzzyMatrix, _same_order
+from .matrices import ONE, ZERO, CrispMatrix, FuzzyMatrix, _same_order, mask_to_bits, parse_value
 
 __all__ = [
     "ChainSignature",
@@ -37,7 +39,7 @@ __all__ = [
 def _as_level(alpha) -> Fraction:
     if isinstance(alpha, float):
         raise TypeError(f"float cut levels are not allowed (got {alpha!r})")
-    return Fraction(alpha)
+    return parse_value(alpha) if isinstance(alpha, str) else Fraction(alpha)
 
 
 def _cut(f: FuzzyMatrix, holds) -> CrispMatrix:
@@ -102,14 +104,13 @@ def k_level(f: FuzzyMatrix) -> int:
     return pattern.count - (pattern.zero >= 0) - (pattern.one >= 0)
 
 
-def _check_cuts(order: int, cuts: tuple[CrispMatrix, ...]) -> None:
-    """At least one cut, every cut of the given order, strictly increasing under inclusion."""
-    if not cuts:
+def _check_masks(order: int, masks: tuple[int, ...]) -> None:
+    """At least one int mask over the order's n*n cells, strictly increasing under inclusion."""
+    if not masks:
         raise ValueError("a chain of cuts has at least one component")
-    for cut in cuts:
-        if cut.order != order:
-            raise ValueError(f"every cut must have order {order}")
-    masks = [cut.mask for cut in cuts]
+    for mask in masks:
+        if type(mask) is not int or mask < 0 or order < 0 or mask.bit_length() > order * order:
+            raise ValueError(f"every cut must be an int mask over the {order}x{order} cells")
     for p, q in zip(masks, masks[1:]):
         if p & q != p or p == q:
             raise ValueError("cuts must be strictly increasing under inclusion")
@@ -117,22 +118,22 @@ def _check_cuts(order: int, cuts: tuple[CrispMatrix, ...]) -> None:
 
 @dataclass(frozen=True)
 class CutChain:
-    """A strictly increasing chain of crisp cuts with strictly decreasing levels.
+    """A strictly increasing chain of cut masks with strictly decreasing levels.
 
-    The pair (levels[i], cuts[i]) records that thresholding at levels[i] yields
-    cuts[i]; reconstructing from the chain inverts that.  The all-zero cut may
-    appear first at level 1, where it contributes nothing to reconstruction.
+    The pair (levels[i], masks[i]) records that thresholding at levels[i] yields
+    the cut of support masks[i]; reconstructing from the chain inverts that.  The
+    empty cut may appear first at level 1, where it adds nothing to reconstruction.
     """
 
     order: int
     levels: tuple[Fraction, ...]
-    cuts: tuple[CrispMatrix, ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(_as_level(a) for a in self.levels))
-        object.__setattr__(self, "cuts", tuple(self.cuts))
-        if len(self.levels) != len(self.cuts):
-            raise ValueError("levels and cuts must have equal length")
+        object.__setattr__(self, "masks", tuple(self.masks))
+        if len(self.levels) != len(self.masks):
+            raise ValueError("levels and masks must have equal length")
         for a in self.levels:
             if not 0 < a.numerator <= a.denominator:
                 raise ValueError(f"level {a} outside (0, 1]")
@@ -140,44 +141,50 @@ class CutChain:
             if not prev > nxt:
                 raise ValueError("levels must be strictly decreasing")
         # strict inclusion among n*n-cell supports also caps the length at n*n + 1
-        _check_cuts(self.order, self.cuts)
+        _check_masks(self.order, self.masks)
 
     @property
     def k(self) -> int:
-        return len(self.cuts) - 1
+        return len(self.masks) - 1
 
 
 @dataclass(frozen=True)
 class ChainSignature:
-    """The distinct cuts a fuzzy matrix realizes over (0, 1], ascending, levels dropped.
+    """The cut masks a fuzzy matrix realizes over (0, 1], ascending, levels dropped.
 
     Structural equality of signatures decides equivalence of the matrices.
     """
 
     order: int
-    cuts: tuple[CrispMatrix, ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cuts", tuple(self.cuts))
-        _check_cuts(self.order, self.cuts)
+        object.__setattr__(self, "masks", tuple(self.masks))
+        _check_masks(self.order, self.masks)
+
+    @property
+    def cuts(self) -> tuple[CrispMatrix, ...]:
+        """The cuts as crisp matrices, built on each read."""
+        return tuple(CrispMatrix(self.order, mask) for mask in self.masks)
 
     @property
     def k(self) -> int:
-        return len(self.cuts) - 1
+        return len(self.masks) - 1
 
     @property
     def o_rooted(self) -> bool:
-        return len(self.cuts[0]) == 0
+        return self.masks[0] == 0
 
     @property
     def j_rooted(self) -> bool:
-        return len(self.cuts[-1]) == self.order * self.order
+        return self.masks[-1] == (1 << self.order * self.order) - 1
 
     def to_json_dict(self) -> dict:
+        m = self.order * self.order
         return {
             "n": self.order,
             "k": self.k,
-            "cuts": [cut.bits for cut in self.cuts],
+            "cuts": [mask_to_bits(mask, m) for mask in self.masks],
             "o_rooted": self.o_rooted,
             "j_rooted": self.j_rooted,
         }
@@ -219,30 +226,26 @@ def cut_chain(f: FuzzyMatrix) -> CutChain:
     levels = [value_of[r] for r in range(pattern.count - 1, pattern.zero, -1)]
     if pattern.one < 0:
         levels.insert(0, ONE)
-    cuts = tuple(CrispMatrix(f.order, mask) for mask in _cut_masks(f.order, pattern))
-    return CutChain(f.order, tuple(levels), cuts)
+    return CutChain(f.order, tuple(levels), _cut_masks(f.order, pattern))
 
 
 def signature(f: FuzzyMatrix) -> ChainSignature:
     """Canonical equivalence-class signature: the cut chain with levels discarded."""
-    masks = _cut_masks(f.order, _rank_pattern(f))
-    return ChainSignature(f.order, tuple(CrispMatrix(f.order, mask) for mask in masks))
+    return ChainSignature(f.order, _cut_masks(f.order, _rank_pattern(f)))
 
 
 def reconstruct(chain: CutChain) -> FuzzyMatrix:
     """Fuzzy matrix whose entry at each cell is the largest level whose cut holds it."""
-    return _reconstruct(chain.order, chain.levels, chain.cuts)
+    return _reconstruct(chain.order, chain.levels, chain.masks)
 
 
-def _reconstruct(
-    n: int, levels: Iterable[Fraction], cuts: Iterable[CrispMatrix]
-) -> FuzzyMatrix:
+def _reconstruct(n: int, levels: Iterable[Fraction], masks: Iterable[int]) -> FuzzyMatrix:
     m = n * n
     values = [ZERO] * m
     placed = 0
     # Highest level first, so each cell takes the first level whose cut holds it.
-    for level, cut in zip(levels, cuts):
-        fresh = cut.mask & ~placed
+    for level, mask in zip(levels, masks):
+        fresh = mask & ~placed
         placed |= fresh
         while fresh:
             low = fresh & -fresh
@@ -275,8 +278,8 @@ def _even_levels(steps: int) -> tuple[Fraction, ...]:
 
 def canonical_representative(sig: ChainSignature) -> FuzzyMatrix:
     """Deterministic class representative: cuts at equally spaced levels i/(k+1)."""
-    # the signature has checked its cuts, and the levels fall by construction
-    return _reconstruct(sig.order, _even_levels(sig.k + 1), sig.cuts)
+    # the signature has checked its masks, and the levels fall by construction
+    return _reconstruct(sig.order, _even_levels(sig.k + 1), sig.masks)
 
 
 @dataclass(frozen=True)
@@ -331,15 +334,14 @@ def _build_classes(
     order: int, patterns: list[_RankPattern], by_masks: dict[tuple[int, ...], list[int]]
 ) -> Classification:
     """Each group's signature and representative, and every member re-checked against it."""
-    levels_by_steps: dict[int, tuple[Fraction, ...]] = {}
     classes = []
+    levels: tuple[Fraction, ...] = ()
     for masks in sorted(by_masks, key=lambda masks: (len(masks), masks)):
-        sig = ChainSignature(order, tuple(CrispMatrix(order, mask) for mask in masks))
-        steps = len(masks)
-        if steps not in levels_by_steps:
-            levels_by_steps[steps] = _even_levels(steps)
-        # canonical_representative(sig), on levels shared by the classes of one k
-        rep = _reconstruct(order, levels_by_steps[steps], sig.cuts)
+        sig = ChainSignature(order, masks)
+        # canonical_representative(sig); the classes of one k arrive together and share levels
+        if len(levels) != len(masks):
+            levels = _even_levels(len(masks))
+        rep = _reconstruct(order, levels, masks)
         rep_pattern = _rank_pattern(rep)
         members = tuple(by_masks[masks])
         for idx in members:

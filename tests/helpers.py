@@ -154,14 +154,20 @@ def parse_value_oracle(text):
         raise ValueError("zero denominator") from exc
 
 
-def check_cuts_oracle(order, cuts):
-    """The cut check of ChainSignature and CutChain by CrispMatrix's own
-    inclusion test, pair by pair, with the library's messages."""
-    if not cuts:
+def check_cuts_oracle(order, masks):
+    """The mask check of ChainSignature and CutChain by CrispMatrix's own range
+    check and inclusion test, pair by pair, with the library's messages."""
+    if not masks:
         raise ValueError("a chain of cuts has at least one component")
-    for cut in cuts:
-        if cut.order != order:
-            raise ValueError(f"every cut must have order {order}")
+    cuts = []
+    for mask in masks:
+        if isinstance(mask, int) and not isinstance(mask, bool):
+            try:
+                cuts.append(CrispMatrix(order, mask))
+                continue
+            except ValueError:
+                pass
+        raise ValueError(f"every cut must be an int mask over the {order}x{order} cells")
     for prev, nxt in zip(cuts, cuts[1:]):
         if not prev.ispropersubset(nxt):
             raise ValueError("cuts must be strictly increasing under inclusion")
@@ -169,9 +175,10 @@ def check_cuts_oracle(order, cuts):
 
 @st.composite
 def cut_tuples(draw, max_order=3):
-    """(order, cuts): a chain built by adding cells, which may add none (equal
-    cuts), then kept, shuffled (unnested or falling) or replaced by unrelated
-    masks; now and then a cut of a neighbouring order; possibly no cut at all."""
+    """(order, masks): a chain built by adding cells, which may add none (equal
+    masks), then kept, shuffled (unnested or falling) or replaced by unrelated
+    masks; now and then a mask past the top cell, a negative one or a
+    CrispMatrix in a mask's place; possibly no mask at all."""
     order = draw(st.integers(0, max_order))
     full = (1 << order * order) - 1
     masks, mask = [], 0
@@ -183,13 +190,17 @@ def cut_tuples(draw, max_order=3):
         masks = draw(st.permutations(masks))
     elif shape == "unrelated":
         masks = [draw(st.integers(0, full)) for _ in masks]
-    cuts = []
+    drawn = []
     for mask in masks:
-        cut_order = order + draw(st.sampled_from([0] * 10 + [1, -1]))
-        if cut_order < 0:
-            cut_order = 1
-        cuts.append(CrispMatrix(cut_order, mask & (1 << cut_order * cut_order) - 1))
-    return order, tuple(cuts)
+        kind = draw(st.sampled_from(["mask"] * 10 + ["past the top", "negative", "crisp"]))
+        if kind == "past the top":
+            mask |= 1 << order * order
+        elif kind == "negative":
+            mask = -1 - mask
+        elif kind == "crisp":
+            mask = CrispMatrix(order, mask)
+        drawn.append(mask)
+    return order, tuple(drawn)
 
 
 def fuzzy_complement(f):

@@ -1,8 +1,9 @@
 """The public surface: each module's __all__ and the package's re-exports agree,
-and the names the benchmark reaches by attribute exist."""
+and the names and attributes the benchmark reaches by attribute exist."""
 
 import ast
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -63,3 +64,15 @@ def test_benchmark_wrapped_names_exist():
         if not callable(target):
             missing.append(f"{module}.{dotted}")
     assert missing == []
+
+
+def test_benchmark_read_surface_exists():
+    # the benchmark checks a classification by reading these attributes off it
+    rows = [["0.5", "0"], ["1", "0.5"]], [["0.7", "0"], ["1", "0.7"]]
+    result = cutchains.classify_corpus(cutchains.FuzzyMatrix.from_rows(r) for r in rows)
+    (klass,) = result.classes
+    assert list(klass.members) == [0, 1]
+    assert list(klass.representative.values()) == [Fraction(1, 2), 0, 1, Fraction(1, 2)]
+    sig = klass.signature
+    assert [cut.bits for cut in sig.cuts] == ["0010", "1011"]
+    assert (sig.order, sig.k, sig.o_rooted, sig.j_rooted) == (2, 1, False, False)

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, example, find, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import cutchains as cc
 from cutchains import CrispMatrix, FuzzyMatrix
 from cutchains import cuts
+from cutchains.matrices import MAX_DIGITS
 from helpers import (
     check_cuts_oracle,
     corpora,
@@ -27,6 +30,7 @@ from helpers import (
 )
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 def M(*rows):
@@ -69,7 +73,24 @@ class TestAlphaCuts:
         with pytest.raises(TypeError):
             cc.alpha_cut(f, 0.5)
         with pytest.raises(TypeError):
-            cc.CutChain(1, (0.1,), (CrispMatrix(1, 1),))
+            cc.CutChain(1, (0.1,), (1,))
+
+    def test_level_strings_are_bounded_like_entries(self):
+        # a level string parses as an entry does, so its exponent obeys MAX_DIGITS
+        f = M(["0.5"])
+        limit = rf"exceeds {MAX_DIGITS} in magnitude"
+        with pytest.raises(ValueError, match=limit):
+            cc.alpha_cut(f, "1e-4301")
+        with pytest.raises(ValueError, match=limit):
+            cc.strong_alpha_cut(f, "1e-4301")
+        with pytest.raises(ValueError, match=limit):
+            cc.CutChain(1, ("1e-4301",), (1,))
+        for level in ("1/2", "0.5"):
+            assert cc.alpha_cut(f, level) == CrispMatrix.ones(1)
+            assert cc.strong_alpha_cut(f, level) == CrispMatrix.zeros(1)
+            assert cc.CutChain(1, (1, level), (0, 1)).levels == (F(1), F(1, 2))
+        with pytest.raises(TypeError):
+            cc.strong_alpha_cut(f, 0.5)
 
     @given(fuzzy_matrices(max_order=2))
     def test_weak_cuts_shrink_as_level_rises(self, f):
@@ -147,37 +168,47 @@ class TestRootedness:
 
 class TestReconstruct:
     def test_examples(self):
-        chain = cc.CutChain(1, (F(1),), (CrispMatrix.ones(1),))
+        chain = cc.CutChain(1, (F(1),), (1,))
         assert cc.reconstruct(chain) == M(["1"])
-        chain = cc.CutChain(1, (F(1), F(1, 2)), (CrispMatrix.zeros(1), CrispMatrix.ones(1)))
+        chain = cc.CutChain(1, (F(1), F(1, 2)), (0, 1))
         assert cc.reconstruct(chain) == M(["0.5"])
+        chain = cc.CutChain(2, (F(1), F(1, 2)), (0b0001, 0b0111))
+        assert cc.reconstruct(chain) == M(["0", "0.5"], ["0.5", "1"])
 
     @given(fuzzy_matrices())
     def test_round_trip(self, f):
         assert cc.reconstruct(cc.cut_chain(f)) == f
 
     def test_chain_validation(self):
-        o, j = CrispMatrix.zeros(1), CrispMatrix.ones(1)
-        with pytest.raises(ValueError):
-            cc.CutChain(1, (F(1, 2), F(1)), (o, j))  # levels rising
-        with pytest.raises(ValueError):
-            cc.CutChain(1, (F(1), F(1, 2)), (j, o))  # cuts shrinking
-        with pytest.raises(ValueError):
-            cc.CutChain(1, (F(1), F(0)), (o, j))  # level 0 never realized
-        with pytest.raises(ValueError):
-            cc.CutChain(1, (F(1),), (o, j))  # length mismatch
+        with pytest.raises(ValueError, match="^levels must be strictly decreasing$"):
+            cc.CutChain(1, (F(1, 2), F(1)), (0, 1))
+        with pytest.raises(ValueError, match="^cuts must be strictly increasing under inclusion$"):
+            cc.CutChain(1, (F(1), F(1, 2)), (1, 0))
+        with pytest.raises(ValueError, match=r"^level 0 outside \(0, 1\]$"):
+            cc.CutChain(1, (F(1), F(0)), (0, 1))  # level 0 is never realized
+        with pytest.raises(ValueError, match="^levels and masks must have equal length$"):
+            cc.CutChain(1, (F(1),), (0, 1))
+        with pytest.raises(ValueError, match="^a chain of cuts has at least one component$"):
+            cc.CutChain(1, (), ())
+        with pytest.raises(ValueError, match="^every cut must be an int mask over the 1x1 cells$"):
+            cc.CutChain(1, (F(1),), (CrispMatrix.ones(1),))  # a cut, not its mask
 
     def test_level_range_message(self):
-        o, j = CrispMatrix.zeros(1), CrispMatrix.ones(1)
         with pytest.raises(ValueError, match=r"^level 0 outside \(0, 1\]$"):
-            cc.CutChain(1, (F(1), F(0)), (o, j))
+            cc.CutChain(1, (F(1), F(0)), (0, 1))
         with pytest.raises(ValueError, match=r"^level 3/2 outside \(0, 1\]$"):
-            cc.CutChain(1, ("3/2",), (j,))
-        assert cc.CutChain(1, (1, "1/2"), (o, j)).levels == (F(1), F(1, 2))
+            cc.CutChain(1, ("3/2",), (1,))
+        assert cc.CutChain(1, (1, "1/2"), (0, 1)).levels == (F(1), F(1, 2))
 
     def test_cut_orders_must_match_chain_order(self):
-        with pytest.raises(ValueError):
-            cc.CutChain(2, (F(1),), (CrispMatrix.zeros(1),))
+        # a mask outside the order's n*n cells: past the top cell or negative,
+        # and no mask fits a negative order
+        for order, mask in [(2, 1 << 4), (1, 2), (2, -1), (-1, 0)]:
+            message = rf"^every cut must be an int mask over the {order}x{order} cells$"
+            with pytest.raises(ValueError, match=message):
+                cc.CutChain(order, (F(1),), (mask,))
+            with pytest.raises(ValueError, match=message):
+                cc.ChainSignature(order, (mask,))
 
 
 def _refusal(build):
@@ -189,23 +220,27 @@ def _refusal(build):
 
 
 class TestCutChecks:
-    """ChainSignature and CutChain compare cut masks as ints; pair by pair
-    through CrispMatrix.ispropersubset is the oracle."""
+    """ChainSignature and CutChain check cut masks as ints; CrispMatrix's own
+    range check, then CrispMatrix.ispropersubset pair by pair, is the oracle."""
 
     @settings(max_examples=300)
     @given(cut_tuples())
     @example((2, ()))
-    @example((1, (CrispMatrix(1, 0), CrispMatrix(1, 0))))  # equal
-    @example((2, (CrispMatrix(2, 0b0011), CrispMatrix(2, 0b0101))))  # unnested
-    @example((2, (CrispMatrix(2, 0b0111), CrispMatrix(2, 0b0011))))  # falling
-    @example((2, (CrispMatrix(2, 0), CrispMatrix(1, 1))))  # wrong order
-    @example((2, (CrispMatrix(2, 0), CrispMatrix(2, 1), CrispMatrix(2, 0b1111))))
+    @example((1, (0, 0)))  # equal
+    @example((2, (0b0011, 0b0101)))  # unnested
+    @example((2, (0b0111, 0b0011)))  # falling
+    @example((2, (0, 1 << 4)))  # past the top cell
+    @example((2, (-1, 0b1111)))  # negative
+    @example((2, (0, CrispMatrix(2, 1))))  # a cut, not its mask
+    @example((1, (False, True)))  # bools are not masks
+    @example((-1, (0,)))  # no order below 0
+    @example((2, (0, 1, 0b1111)))
     def test_agree_with_pairwise_inclusion(self, case):
-        order, cuts = case
-        expected = _refusal(lambda: check_cuts_oracle(order, cuts))
-        assert _refusal(lambda: cc.ChainSignature(order, cuts)) == expected
-        levels = tuple(F(len(cuts) - i, len(cuts)) for i in range(len(cuts)))
-        assert _refusal(lambda: cc.CutChain(order, levels, cuts)) == expected
+        order, masks = case
+        expected = _refusal(lambda: check_cuts_oracle(order, masks))
+        assert _refusal(lambda: cc.ChainSignature(order, masks)) == expected
+        levels = tuple(F(len(masks) - i, len(masks)) for i in range(len(masks)))
+        assert _refusal(lambda: cc.CutChain(order, levels, masks)) == expected
 
 
 class TestEquivalence:
@@ -361,6 +396,26 @@ class TestClassification:
         ]
 
 
+class TestMasksEndToEnd:
+    def test_no_crisp_matrix_is_built(self, monkeypatch):
+        # every cut stays an int mask from _cut_masks to the report
+        blocks = (DATA / "golden_corpus.txt").read_text().split("\n\n")
+        corpus = [FuzzyMatrix.parse_text(block) for block in blocks]
+        f = M(["0.3", "0.7"], ["0.7", "1"])
+
+        def refuse(*args):
+            raise AssertionError("a CrispMatrix was built")
+
+        monkeypatch.setattr(cuts, "CrispMatrix", refuse)
+        report = cc.classify_corpus(corpus).to_json_list()
+        assert report == json.loads((DATA / "golden_classify.json").read_text())
+        assert cc.signature(f).to_json_dict()["cuts"] == ["0001", "0111", "1111"]
+        assert cc.canonical_representative(cc.signature(f)) == M(["1/3", "2/3"], ["2/3", "1"])
+        assert cc.reconstruct(cc.cut_chain(f)) == f
+        with pytest.raises(AssertionError, match="a CrispMatrix was built"):
+            cc.signature(f).cuts
+
+
 # 1/3 and a value 1/(3*10^40) above it convert to the same float.
 THIRD = F(1, 3)
 NEAR_THIRD = F(10**40 + 1, 3 * 10**40)
@@ -399,7 +454,8 @@ class TestIntegerKeysAgainstFractionOracles:
         levels, chain_cuts = levels_and_cuts_oracle(f)
         assert cc.signature(f).cuts == chain_cuts
         chain = cc.cut_chain(f)
-        assert chain.levels == levels and chain.cuts == chain_cuts
+        assert chain.levels == levels and chain.masks == tuple(c.mask for c in chain_cuts)
+        assert cc.signature(f).masks == chain.masks
 
     @given(any_matrices)
     def test_rank_pattern_and_k_level(self, f):
@@ -426,7 +482,7 @@ class TestCrossModuleAgainstEnumeration:
         chains = 0
         for k in range(5):
             for record in cc.enumerate_chains(4, k):
-                sig = cc.ChainSignature(2, [CrispMatrix(2, c) for c in record.components])
+                sig = cc.ChainSignature(2, record.components)
                 assert tuple(sig.to_json_dict()["cuts"]) == record.bitstrings()
                 assert cc.signature(cc.canonical_representative(sig)) == sig
                 chains += 1
