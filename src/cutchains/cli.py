@@ -85,6 +85,17 @@ def _emit(text: str | Iterable[str], output: str | None) -> None:
         raise ValueError(f"cannot write {output or 'stdout'}: {exc}") from exc
 
 
+def _report(line: str) -> None:
+    """Write one error line to stderr, or drop it if stderr is closed or its
+    pipe's reader has gone: the exit code stands either way."""
+    if sys.stderr is None:  # started with stderr closed: print would write to stdout
+        return
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())  # as _emit, for stdout
+
+
 def _json_array_chunks(items: Iterable, margin: str = "") -> Iterator[str]:
     """The text of json.dumps(list(items), indent=2) + "\n", one chunk per item,
     with every line after the first indented by margin."""
@@ -96,11 +107,20 @@ def _json_array_chunks(items: Iterable, margin: str = "") -> Iterator[str]:
     yield "[]\n" if opener[0] == "[" else f"\n{margin}]\n"
 
 
-def _table_json_chunks(table: counting.CountTable) -> Iterator[str]:
-    """The text of json.dumps(table.to_json_dict(), indent=2) + "\n", one chunk per row."""
-    empty = json.dumps({"root": table.root, "max_n": table.max_n, "rows": []}, indent=2)
+def _table_csv_lines(rows: Iterable) -> Iterator[str]:
+    """The CSV text of a count table, one line at a time."""
+    yield "n,k,f_nk,f_n\n"
+    for row in rows:
+        total = f",{row.total}\n"  # one decimal conversion per row, not per k
+        yield from (f"{row.n},{k},{value}{total}" for k, value in enumerate(row.counts))
+
+
+def _table_json_chunks(rows: Iterable, root: str | None, max_n: int) -> Iterator[str]:
+    """The JSON text of a count table, one chunk per row: json.dumps with indent=2
+    of {"root", "max_n", "rows": [{"n", "counts", "total"}, ...]}, and a newline."""
+    empty = json.dumps({"root": root, "max_n": max_n, "rows": []}, indent=2)
     yield empty.removesuffix("[]\n}")
-    rows = ({"n": row.n, "counts": list(row.counts), "total": row.total} for row in table.rows)
+    rows = ({"n": row.n, "counts": list(row.counts), "total": row.total} for row in rows)
     yield from _json_array_chunks(rows, "  ")
     yield "}\n"
 
@@ -213,11 +233,12 @@ def _cmd_count(args) -> int:
 
 def _cmd_table(args) -> int:
     _check_count_job(args.max_n * args.max_n, args.method)
-    table = counting.count_table(args.max_n, root=args.root, method=args.method)
+    # written as the sweep makes them, so one row is held at a time
+    rows = counting._table_rows(args.max_n, args.root, args.method)
     if args.format == "csv":
-        _emit(table.csv_lines(), args.output)
+        _emit(_table_csv_lines(rows), args.output)
     else:
-        _emit(_table_json_chunks(table), args.output)
+        _emit(_table_json_chunks(rows, args.root, args.max_n), args.output)
     return EXIT_OK
 
 
@@ -264,8 +285,7 @@ def _check_signature_cells(matrix: FuzzyMatrix) -> None:
     cells = matrix.order**2
     if (cells + 1) * cells <= MAX_SIGNATURE_CELLS:  # no signature of this order is larger
         return
-    values = set(matrix.values())
-    cells *= len(values - {0}) + (1 not in values)
+    cells *= cuts.k_level(matrix) + 1  # a k-level matrix has k + 1 cuts
     if cells > MAX_SIGNATURE_CELLS:
         raise InfeasibleJobError(
             f"the signature of an order-{matrix.order} matrix has {cells} cells, "
@@ -408,14 +428,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except InfeasibleJobError as exc:
-        print(f"infeasible job: {exc}", file=sys.stderr)
+        _report(f"infeasible job: {exc}")
         return EXIT_INFEASIBLE
     except MalformedInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return EXIT_MALFORMED
     except ValueError as exc:
         # e.g. conflicting enumerate flags, or an output or help text that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return EXIT_USAGE
     finally:
         sys.set_int_max_str_digits(caller_limit)

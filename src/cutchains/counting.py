@@ -305,25 +305,14 @@ class CountTable:
     def max_n(self) -> int:
         return len(self.rows) - 1
 
-    def csv_lines(self) -> Iterator[str]:
-        """The CSV text, one line at a time."""
-        yield "n,k,f_nk,f_n\n"
-        for row in self.rows:
-            total = f",{row.total}\n"  # one decimal conversion per row, not per k
-            yield from (f"{row.n},{k},{value}{total}" for k, value in enumerate(row.counts))
 
-    def to_csv(self) -> str:
-        return "".join(self.csv_lines())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "root": self.root,
-            "max_n": self.max_n,
-            "rows": [
-                {"n": row.n, "counts": list(row.counts), "total": row.total}
-                for row in self.rows
-            ],
-        }
+def _table_rows(max_n: int, root: Root | None, method: str) -> Iterator[CountRow]:
+    """count_table's rows, made one at a time; an unknown method is refused at once."""
+    if _pick_method(method) == "ie":
+        rows = (c for m, c in enumerate(_ie_rows(max_n * max_n, root)) if isqrt(m) ** 2 == m)
+    else:
+        rows = (_nested_row(n * n, root) for n in range(max_n + 1))
+    return (CountRow(n, tuple(c), sum(c)) for n, c in enumerate(rows))
 
 
 def count_table(max_n: int, *, root: Root | None = None, method: str = "auto") -> CountTable:
@@ -332,15 +321,12 @@ def count_table(max_n: int, *, root: Root | None = None, method: str = "auto") -
     method selects the path as for total_count: the rows at m = n*n of one
     _ie_rows sweep, about max_n^4 small-by-big products, or one nested table
     per row.  A lone total (total_count) takes m+1 powers and builds no row.
+    This holds every row; the CLI writes each row of _table_rows as it is made.
     """
     _check_order(max_n)
     if root is not None:
         _check_root(root)
-    if _pick_method(method) == "ie":
-        rows = [c for m, c in enumerate(_ie_rows(max_n * max_n, root)) if isqrt(m) ** 2 == m]
-    else:
-        rows = [_nested_row(n * n, root) for n in range(max_n + 1)]
-    return CountTable(tuple(CountRow(n, tuple(c), sum(c)) for n, c in enumerate(rows)), root)
+    return CountTable(tuple(_table_rows(max_n, root, method)), root)
 
 
 def sequence(max_n: int, *, method: str = "auto") -> list[tuple[int, int]]:

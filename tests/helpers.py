@@ -256,6 +256,12 @@ def hasse_json_oracle(diagram):
     return {"m": m, "nodes": nodes, "adjacency": adjacency}
 
 
+def table_json_oracle(table):
+    """JSON dict of a CountTable: its root and max_n, and each row's n, counts and total."""
+    rows = [{"n": row.n, "counts": list(row.counts), "total": row.total} for row in table.rows]
+    return {"root": table.root, "max_n": table.max_n, "rows": rows}
+
+
 def grid_values(t):
     """The grid {0, 1} plus t equally spaced interior points."""
     return [Fraction(i, t + 1) for i in range(t + 2)]

@@ -20,7 +20,7 @@ from cutchains.cli import (
     _json_array_chunks,
     main,
 )
-from helpers import STDERR_BYTE_BOUND
+from helpers import STDERR_BYTE_BOUND, table_json_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -361,7 +361,7 @@ class TestTable:
             argv = ["table", "--max-n", str(max_n), "--format", "json"]
             code, out, _ = run_cli(capsys, *argv, *(["--root", root] if root else []))
             table = cutchains.count_table(max_n, root=root)
-            assert (code, out) == (0, json.dumps(table.to_json_dict(), indent=2) + "\n")
+            assert (code, out) == (0, json.dumps(table_json_oracle(table), indent=2) + "\n")
 
     def test_json_chunks_stream(self):
         # the text of this table is 11.6 MiB, and json.dumps allocates about 24 MiB
@@ -369,7 +369,7 @@ class TestTable:
         table = cutchains.count_table(30)
         tracemalloc.start()
         try:
-            size = sum(len(chunk) for chunk in cli._table_json_chunks(table))
+            size = sum(len(chunk) for chunk in cli._table_json_chunks(table.rows, None, 30))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -391,6 +391,35 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", "--max-n", "2", "--root", "J")
         assert code == 0
         assert "2,2,50,150" in out.splitlines()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("root", [None, "O", "J"])
+    def test_methods_write_the_same_bytes(self, capsys, tmp_path, fmt, root):
+        target = tmp_path / "table"
+        for max_n in range(7):
+            argv = ["table", "--max-n", str(max_n), "--format", fmt]
+            argv += ["--root", root] if root else []
+            code, want, _ = run_cli(capsys, *argv)
+            assert code == 0
+            for method in ("naive", "ie"):
+                assert run_cli(capsys, *argv, "--method", method) == (0, want, "")
+                argv_out = [*argv, "--method", method, "--output", str(target)]
+                assert run_cli(capsys, *argv_out) == (0, "", "")
+                assert target.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("fmt,bound_mib", [("csv", 4.5), ("json", 7)])
+    def test_rows_written_as_made(self, tmp_path, fmt, bound_mib):
+        # the rows of this table hold 5.4 MiB; written as the sweep makes them,
+        # the CLI holds about 2.7 MiB as CSV and 4.8 MiB as JSON at its peak
+        target = tmp_path / "table"
+        tracemalloc.start()
+        try:
+            code = main(["table", "--max-n", "30", "--format", fmt, "--output", str(target)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and target.stat().st_size > 11 * 2**20
+        assert peak < bound_mib * 2**20
 
 
 class TestSequence:
@@ -930,6 +959,39 @@ class TestWriteFailures:
         result = subprocess.run(command, capture_output=True, text=True, env=env)
         assert result.returncode == 0 and result.stderr == ""
         assert result.stdout.startswith("usage: cutchains count [-h] --n N")
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["lattice", "--m", "12"], 2),
+            (["enumerate", "--m", "40", "--k", "20"], 3),
+            (["signature", "--input", "MISSING"], 4),
+        ],
+    )
+    def test_error_line_to_closed_pipe(self, tmp_path, argv, code):
+        # stdout and stderr share one pipe whose reader has gone, so the error
+        # line fails to be written as well; the exit code stands
+        argv = [str(tmp_path / "missing.txt") if word == "MISSING" else word for word in argv]
+        command, env = buffered_cli_command(*argv)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(command, stdout=write, stderr=write, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert result.returncode == code
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["enumerate", "--m", "40", "--k", "20"], 3), (["signature", "--input", "MISSING"], 4)],
+    )
+    def test_error_line_to_closed_stderr(self, tmp_path, argv, code):
+        argv = [str(tmp_path / "missing.txt") if word == "MISSING" else word for word in argv]
+        command, env = buffered_cli_command(*argv)
+        result = subprocess.run(
+            ["sh", "-c", 'exec "$@" 2>&-', "sh", *command], capture_output=True, env=env
+        )
+        assert (result.returncode, result.stdout) == (code, b"")
 
     @pytest.mark.parametrize(
         "argv,first",

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cutchains as cc
+from cutchains import cli
 from helpers import brute_force_chains, count_chains_top_down, fubini_numbers, size_vector_sums
 
 
@@ -357,9 +359,10 @@ class TestTableAndSequence:
         assert table.rows[2].total == 150
 
     def test_table_csv_and_json(self):
-        table = cc.count_table(1)
-        assert table.to_csv() == "n,k,f_nk,f_n\n0,0,1,1\n1,0,2,3\n1,1,1,3\n"
-        assert table.to_json_dict() == {
+        rows = cc.count_table(1).rows
+        csv = "".join(cli._table_csv_lines(rows))
+        assert csv == "n,k,f_nk,f_n\n0,0,1,1\n1,0,2,3\n1,1,1,3\n"
+        assert json.loads("".join(cli._table_json_chunks(rows, None, 1))) == {
             "root": None,
             "max_n": 1,
             "rows": [
@@ -369,18 +372,20 @@ class TestTableAndSequence:
         }
 
     def test_csv_lines_one_line_each(self):
-        table = cc.count_table(3, root="J")
-        lines = list(table.csv_lines())
+        rows = cc.count_table(3, root="J").rows
+        lines = list(cli._table_csv_lines(rows))
         assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
-        assert "".join(lines) == table.to_csv()
+        assert lines[1:] == [
+            f"{row.n},{k},{value},{row.total}\n" for row in rows for k, value in enumerate(row.counts)
+        ]
         assert len(lines) == 1 + sum(n * n + 1 for n in range(4))
 
     def test_csv_lines_stream(self):
-        # to_csv() of this table allocates about 49 MiB; each line is dropped once written
+        # joined, the CSV text of this table allocates about 49 MiB; each line is dropped once written
         table = cc.count_table(30)
         tracemalloc.start()
         try:
-            count = sum(1 for _ in table.csv_lines())
+            count = sum(1 for _ in cli._table_csv_lines(table.rows))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
