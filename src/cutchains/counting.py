@@ -24,11 +24,12 @@ come from math.comb, and no table outlives the call that builds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial, isqrt
 from operator import add
 from typing import Iterator, Literal
+
+from .matrices import _Value
 
 __all__ = [
     "CountRow",
@@ -76,28 +77,30 @@ def _check_order(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class SizeVector:
+class SizeVector(_Value):
     """Strictly increasing component cardinalities 0 <= s_0 < ... < s_k <= m.
 
     Every chain determines one size vector; the number of chains sharing a
     size vector is a product of binomials, computable from either end.
     """
 
+    __slots__ = ("cell_count", "sizes")
     cell_count: int
     sizes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        _check_cells(self.cell_count)
-        if not self.sizes:
+    def __init__(self, cell_count: int, sizes) -> None:
+        sizes = tuple(sizes)
+        _check_cells(cell_count)
+        if not sizes:
             raise ValueError("a size vector is nonempty")
-        for s in self.sizes:
-            if not (0 <= s <= self.cell_count):
-                raise ValueError(f"size {s} outside [0, {self.cell_count}]")
-        for prev, nxt in zip(self.sizes, self.sizes[1:]):
+        for s in sizes:
+            if not (0 <= s <= cell_count):
+                raise ValueError(f"size {s} outside [0, {cell_count}]")
+        for prev, nxt in zip(sizes, sizes[1:]):
             if not prev < nxt:
                 raise ValueError("sizes must be strictly increasing")
+        object.__setattr__(self, "cell_count", cell_count)
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def k(self) -> int:
@@ -280,26 +283,42 @@ def term_count(n: int) -> int:
     return 2 ** (n * n + 1) - 1
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(_Value):
+    """The per-k counts of one order n, k = 0..n*n, and their total."""
+
+    __slots__ = ("n", "counts", "total")
     n: int
     counts: tuple[int, ...]
     total: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if len(self.counts) != self.n * self.n + 1:
-            raise ValueError(f"row for order {self.n} needs {self.n * self.n + 1} counts")
-        if self.total != sum(self.counts):
-            raise ValueError(f"row total {self.total} != sum of counts {sum(self.counts)}")
+    def __init__(self, n: int, counts, total: int) -> None:
+        _check_order(n)
+        counts = tuple(counts)
+        if len(counts) != n * n + 1:
+            raise ValueError(f"row for order {n} needs {n * n + 1} counts")
+        if total != sum(counts):
+            raise ValueError(f"row total {total} != sum of counts {sum(counts)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(_Value):
     """Per-k counts and totals for orders 0..max_n, optionally root-restricted."""
 
+    __slots__ = ("rows", "root")
     rows: tuple[CountRow, ...]
-    root: str | None = None
+    root: str | None
+
+    def __init__(self, rows, root: str | None = None) -> None:
+        if root is not None:
+            _check_root(root)
+        rows = tuple(rows)
+        for n, row in enumerate(rows):
+            if row.n != n:
+                raise ValueError(f"row {n} of a count table is for order {row.n}, not {n}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "root", root)
 
     @property
     def max_n(self) -> int:

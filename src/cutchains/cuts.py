@@ -11,12 +11,20 @@ alpha cut and for `ChainSignature.cuts`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, NamedTuple
 
-from .matrices import ONE, ZERO, CrispMatrix, FuzzyMatrix, _same_order, mask_to_bits, parse_value
+from .matrices import (
+    ONE,
+    ZERO,
+    CrispMatrix,
+    FuzzyMatrix,
+    _same_order,
+    _Value,
+    mask_to_bits,
+    parse_value,
+)
 
 __all__ = [
     "ChainSignature",
@@ -116,8 +124,7 @@ def _check_masks(order: int, masks: tuple[int, ...]) -> None:
             raise ValueError("cuts must be strictly increasing under inclusion")
 
 
-@dataclass(frozen=True)
-class CutChain:
+class CutChain(_Value):
     """A strictly increasing chain of cut masks with strictly decreasing levels.
 
     The pair (levels[i], masks[i]) records that thresholding at levels[i] yields
@@ -125,42 +132,48 @@ class CutChain:
     empty cut may appear first at level 1, where it adds nothing to reconstruction.
     """
 
+    __slots__ = ("order", "levels", "masks")
     order: int
     levels: tuple[Fraction, ...]
     masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(_as_level(a) for a in self.levels))
-        object.__setattr__(self, "masks", tuple(self.masks))
-        if len(self.levels) != len(self.masks):
+    def __init__(self, order: int, levels, masks) -> None:
+        levels = tuple(_as_level(a) for a in levels)
+        masks = tuple(masks)
+        if len(levels) != len(masks):
             raise ValueError("levels and masks must have equal length")
-        for a in self.levels:
+        for a in levels:
             if not 0 < a.numerator <= a.denominator:
                 raise ValueError(f"level {a} outside (0, 1]")
-        for prev, nxt in zip(self.levels, self.levels[1:]):
+        for prev, nxt in zip(levels, levels[1:]):
             if not prev > nxt:
                 raise ValueError("levels must be strictly decreasing")
         # strict inclusion among n*n-cell supports also caps the length at n*n + 1
-        _check_masks(self.order, self.masks)
+        _check_masks(order, masks)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "masks", masks)
 
     @property
     def k(self) -> int:
         return len(self.masks) - 1
 
 
-@dataclass(frozen=True)
-class ChainSignature:
+class ChainSignature(_Value):
     """The cut masks a fuzzy matrix realizes over (0, 1], ascending, levels dropped.
 
     Structural equality of signatures decides equivalence of the matrices.
     """
 
+    __slots__ = ("order", "masks")
     order: int
     masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "masks", tuple(self.masks))
-        _check_masks(self.order, self.masks)
+    def __init__(self, order: int, masks) -> None:
+        masks = tuple(masks)
+        _check_masks(order, masks)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "masks", masks)
 
     @property
     def cuts(self) -> tuple[CrispMatrix, ...]:
@@ -282,11 +295,21 @@ def canonical_representative(sig: ChainSignature) -> FuzzyMatrix:
     return _reconstruct(sig.order, _even_levels(sig.k + 1), sig.masks)
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
+class EquivalenceClass(_Value):
+    """One class of a corpus: its signature, its representative and the
+    corpus indices of its members."""
+
+    __slots__ = ("signature", "representative", "members")
     signature: ChainSignature
     representative: FuzzyMatrix
     members: tuple[int, ...]
+
+    def __init__(
+        self, signature: ChainSignature, representative: FuzzyMatrix, members: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "members", members)
 
     def to_json_dict(self) -> dict:
         return {
@@ -296,12 +319,16 @@ class EquivalenceClass:
         }
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Value):
     """Partition of a corpus into equivalence classes, keyed by signature."""
 
+    __slots__ = ("order", "classes")
     order: int
     classes: tuple[EquivalenceClass, ...]
+
+    def __init__(self, order: int, classes: tuple[EquivalenceClass, ...]) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "classes", classes)
 
     def __len__(self) -> int:
         return len(self.classes)

@@ -28,12 +28,11 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .counting import _check_root, chain_count_ie
-from .matrices import mask_to_bits
+from .matrices import _Value, mask_to_bits
 
 __all__ = [
     "ChainRecord",
@@ -131,12 +130,16 @@ def enumerate_supports(m: int) -> Iterator[int]:
     return iter(range(1 << m))
 
 
-@dataclass(frozen=True)
-class ChainRecord:
+class ChainRecord(_Value):
     """One strict chain: its cell count and component masks, smallest first."""
 
+    __slots__ = ("cell_count", "components")
     cell_count: int
     components: tuple[int, ...]
+
+    def __init__(self, cell_count: int, components: tuple[int, ...]) -> None:
+        object.__setattr__(self, "cell_count", cell_count)
+        object.__setattr__(self, "components", components)
 
     @property
     def size_vector(self) -> tuple[int, ...]:
@@ -144,13 +147,6 @@ class ChainRecord:
 
     def bitstrings(self) -> tuple[str, ...]:
         return tuple(mask_to_bits(c, self.cell_count) for c in self.components)
-
-    def to_line(self, *, labeled: bool = False) -> str:
-        if labeled:
-            parts = (support_label(c, self.cell_count) for c in self.components)
-        else:
-            parts = self.bitstrings()
-        return " < ".join(parts)
 
 
 def _check_job(m: int, k: int, root: str | None, ceiling: int) -> None:
@@ -364,8 +360,9 @@ def chain_lines(
     labeled: bool = False,
     ceiling: int = DEFAULT_CHAIN_CEILING,
 ) -> Iterator[str]:
-    """Chain listing lines, one per chain, in enumeration order: ChainRecord.to_line
-    of each chain, with each support's text formatted once per call."""
+    """Chain listing lines, one per chain, in enumeration order: each chain's
+    supports as bitstrings (labeled: as support_label text) joined by " < ",
+    with each support's text formatted once per call."""
     _check_job(m, k, root, ceiling)
     if not labeled:
         support_text = partial(mask_to_bits, m=m)
@@ -377,14 +374,15 @@ def chain_lines(
     return _walk(m, k, root, text, lambda line, nxt: f"{line} < {text(nxt)}")
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(_Value):
     """Covering relation of the support lattice, computed from m: edges add exactly one cell."""
 
+    __slots__ = ("cell_count",)
     cell_count: int
 
-    def __post_init__(self) -> None:
-        enumerate_supports(self.cell_count)  # refuses a negative m and one above the cap
+    def __init__(self, cell_count: int) -> None:
+        enumerate_supports(cell_count)  # refuses a negative m and one above the cap
+        object.__setattr__(self, "cell_count", cell_count)
 
     @property
     def nodes(self) -> range:

@@ -8,7 +8,6 @@ equivalence relation hinges on, are exact.  Floats are rejected outright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterator
@@ -136,22 +135,60 @@ def bits_to_mask(bits: str) -> int:
     return int(bits, 2) if bits else 0
 
 
-@dataclass(frozen=True)
-class CrispMatrix:
+class _Value:
+    """Base of the frozen value classes: each subclass lists its fields as
+    __slots__ and sets them in its own __init__ with object.__setattr__.
+
+    Two values are equal when they are of one class and their fields are
+    equal; the hash, the default repr and pickling and copying (through
+    __init__) all read the fields in __slots__ order.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class CrispMatrix(_Value):
     """An order-n 0/1 matrix, stored as the support mask over its n*n cells.
 
     Bit n*n-1-p holds cell p+1 in row-major order, so numeric order on masks
     is lexicographic order on the row-major bitstrings.
     """
 
+    __slots__ = ("order", "mask")
     order: int
     mask: int
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError(f"order must be nonnegative, got {self.order}")
-        if self.mask < 0 or self.mask.bit_length() > self.order * self.order:
-            raise ValueError(f"mask {self.mask} outside the {self.order}x{self.order} range")
+    def __init__(self, order: int, mask: int) -> None:
+        if order < 0:
+            raise ValueError(f"order must be nonnegative, got {order}")
+        if mask < 0 or mask.bit_length() > order * order:
+            raise ValueError(f"mask {mask} outside the {order}x{order} range")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def zeros(cls, order: int) -> "CrispMatrix":
@@ -190,25 +227,26 @@ class CrispMatrix:
         return f"CrispMatrix({self.order}, {self.bits!r})"
 
 
-@dataclass(frozen=True)
-class FuzzyMatrix:
+class FuzzyMatrix(_Value):
     """An order-n matrix of exact rational membership degrees in [0, 1]."""
 
+    __slots__ = ("order", "entries")
     order: int
     entries: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError(f"order must be nonnegative, got {self.order}")
-        rows = tuple(tuple(map(_coerce_entry, row)) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        if len(rows) != self.order or any(len(row) != self.order for row in rows):
-            raise ValueError(f"entries do not form an {self.order}x{self.order} grid")
+    def __init__(self, order: int, entries) -> None:
+        if order < 0:
+            raise ValueError(f"order must be nonnegative, got {order}")
+        rows = tuple(tuple(map(_coerce_entry, row)) for row in entries)
+        if len(rows) != order or any(len(row) != order for row in rows):
+            raise ValueError(f"entries do not form an {order}x{order} grid")
         for row in rows:
             for v in row:
                 # denominators are positive, so v in [0, 1] compares two ints
                 if not 0 <= v.numerator <= v.denominator:
                     raise ValueError(f"membership value {_shown_value(v)} outside [0, 1]")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "entries", rows)
 
     @classmethod
     def from_rows(cls, rows) -> "FuzzyMatrix":

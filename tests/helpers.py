@@ -223,6 +223,16 @@ def record_to_sets(record):
     return tuple(bits_to_set(b) for b in record.bitstrings())
 
 
+def chain_line(record, labeled=False):
+    """Listing line of a ChainRecord, each support formatted afresh: its
+    bitstrings, or labeled its support_label texts, joined by " < "."""
+    if labeled:
+        parts = (support_label(c, record.cell_count) for c in record.components)
+    else:
+        parts = record.bitstrings()
+    return " < ".join(parts)
+
+
 def hasse_edge_oracle(m):
     """Covers of the subsets of range(m), as bitstring pairs: nodes in bitstring
     order, then each absent cell in cell order."""

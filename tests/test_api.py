@@ -1,7 +1,13 @@
 """The public surface: each module's __all__ and the package's re-exports agree,
-and the names and attributes the benchmark reaches by attribute exist."""
+the names and attributes the benchmark reaches by attribute exist, the value
+classes behave as frozen values, and importing the package stays light."""
 
 import ast
+import copy
+import os
+import pickle
+import subprocess
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -76,3 +82,102 @@ def test_benchmark_read_surface_exists():
     sig = klass.signature
     assert [cut.bits for cut in sig.cuts] == ["0010", "1011"]
     assert (sig.order, sig.k, sig.o_rooted, sig.j_rooted) == (2, 1, False, False)
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses (and the inspect module it imports) cost a CLI run about
+    # 15 ms of start-up; the value classes below are written out instead
+    package_root = str(Path(cutchains.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    script = "import sys, cutchains, cutchains.cli; print('dataclasses' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+
+
+SIGNATURE = cutchains.ChainSignature(2, (0b0001, 0b1011))
+REPRESENTATIVE = cutchains.FuzzyMatrix(
+    2, ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(1, 2)))
+)
+CLASS = cutchains.EquivalenceClass(SIGNATURE, REPRESENTATIVE, (0, 3))
+
+# each value class, keyword arguments for one instance, and that instance's repr
+VALUES = [
+    (cutchains.CrispMatrix, {"order": 2, "mask": 0b1001}, "CrispMatrix(2, '1001')"),
+    (
+        cutchains.FuzzyMatrix,
+        {"order": 2, "entries": REPRESENTATIVE.entries},
+        "FuzzyMatrix(2, [1 0.5; 0 0.5])",
+    ),
+    (
+        cutchains.SizeVector,
+        {"cell_count": 4, "sizes": (0, 2, 4)},
+        "SizeVector(cell_count=4, sizes=(0, 2, 4))",
+    ),
+    (
+        cutchains.CountRow,
+        {"n": 1, "counts": (2, 1), "total": 3},
+        "CountRow(n=1, counts=(2, 1), total=3)",
+    ),
+    (
+        cutchains.CountTable,
+        {"rows": cutchains.count_table(1).rows, "root": "O"},
+        "CountTable(rows=(CountRow(n=0, counts=(1,), total=1), "
+        "CountRow(n=1, counts=(2, 1), total=3)), root='O')",
+    ),
+    (
+        cutchains.CutChain,
+        {"order": 2, "levels": (Fraction(1), Fraction(1, 2)), "masks": (0b0001, 0b1011)},
+        "CutChain(order=2, levels=(Fraction(1, 1), Fraction(1, 2)), masks=(1, 11))",
+    ),
+    (
+        cutchains.ChainSignature,
+        {"order": 2, "masks": (0b0001, 0b1011)},
+        "ChainSignature(order=2, masks=(1, 11))",
+    ),
+    (
+        cutchains.EquivalenceClass,
+        {"signature": SIGNATURE, "representative": REPRESENTATIVE, "members": (0, 3)},
+        "EquivalenceClass(signature=ChainSignature(order=2, masks=(1, 11)), "
+        "representative=FuzzyMatrix(2, [1 0.5; 0 0.5]), members=(0, 3))",
+    ),
+    (
+        cutchains.Classification,
+        {"order": 2, "classes": (CLASS,)},
+        "Classification(order=2, classes=(EquivalenceClass(signature=ChainSignature("
+        "order=2, masks=(1, 11)), representative=FuzzyMatrix(2, [1 0.5; 0 0.5]), "
+        "members=(0, 3)),))",
+    ),
+    (
+        cutchains.ChainRecord,
+        {"cell_count": 4, "components": (0b0001, 0b0011)},
+        "ChainRecord(cell_count=4, components=(1, 3))",
+    ),
+    (cutchains.HasseDiagram, {"cell_count": 3}, "HasseDiagram(cell_count=3)"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, shown", VALUES, ids=[v[0].__name__ for v in VALUES])
+def test_value_class_protocol(cls, fields, shown):
+    value = cls(**fields)
+    twin = cls(*fields.values())
+    assert cls.__slots__ == tuple(fields)
+    assert [getattr(value, name) for name in fields] == list(fields.values())
+    assert value == twin and hash(value) == hash(twin)
+    assert repr(value) == shown
+
+    other = type("Other", (cls,), {"__slots__": ()})(**fields)
+    assert value.__eq__(other) is NotImplemented
+    assert value != other and other != value
+
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == twin and not hasattr(value, "__dict__")
+
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(clone) is cls and clone == value and hash(clone) == hash(value)

@@ -20,7 +20,7 @@ from cutchains.cli import (
     _json_array_chunks,
     main,
 )
-from helpers import STDERR_BYTE_BOUND, table_json_oracle
+from helpers import STDERR_BYTE_BOUND, chain_line, table_json_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -529,7 +529,7 @@ class TestEnumerate:
         )
         assert code == 0 and out == ""
         expected = "".join(
-            r.to_line(labeled=True) + "\n" for r in cutchains.enumerate_chains(8, 2)
+            chain_line(r, labeled=True) + "\n" for r in cutchains.enumerate_chains(8, 2)
         )
         assert target.read_bytes() == expected.encode("utf-8")
 

@@ -396,6 +396,20 @@ class TestTableAndSequence:
         with pytest.raises(ValueError):
             cc.CountRow(1, (2, 1), 4)
 
+    def test_row_order_validated(self):
+        with pytest.raises(ValueError, match="^order must be nonnegative, got -1$"):
+            cc.CountRow(-1, (1, 0), 1)
+
+    def test_table_validated(self):
+        with pytest.raises(ValueError, match="^root must be \"O\" or \"J\", got 'X'$"):
+            cc.CountTable((), root="X")
+        with pytest.raises(ValueError, match="^row 0 of a count table is for order 1, not 0$"):
+            cc.CountTable((cc.CountRow(1, (1, 1), 2),))
+        rows = cc.count_table(2).rows
+        with pytest.raises(ValueError, match="^row 1 of a count table is for order 2, not 1$"):
+            cc.CountTable((rows[0], rows[2]))
+        assert cc.CountTable(rows=rows[:2], root="O").max_n == 1
+
     def test_sequence(self):
         assert cc.sequence(4) == [
             (0, 1),
