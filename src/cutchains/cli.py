@@ -27,11 +27,12 @@ EXIT_MALFORMED = 4
 
 
 # Largest input file read, in bytes.  A 4 MiB text corpus of 32,000 order-6
-# matrices with short entries (".dd", "0", "1") takes `classify` about 5 s and
-# 140 MiB peak RSS to parse (3.7 s) and group, and is then refused by
-# MAX_SIGNATURE_CELLS before any class is built.  One of 57,000 order-6 0/1
-# matrices, 57,000 classes of one or two cuts, is served in 11-14 s and
-# 170 MiB, writing 55 MB (Python 3.11, one process).
+# matrices with short entries (".dd", "0", "1") takes `classify` 4.5-5.8 s and
+# 130 MiB peak RSS to parse (3.2 s) and group, and is then refused by
+# MAX_SIGNATURE_CELLS before any class is built; so is one of 35,000 with
+# three-digit entries (".ddd", "0", "1"), in 4.4-5.2 s.  One of 57,000 order-6
+# 0/1 matrices, 57,000 classes of one or two cuts, is served in 10.7-11.6 s and
+# 150 MiB, writing 55 MB (Python 3.11, one process).
 MAX_INPUT_BYTES = 4 * 2**20
 
 # Largest cell count (n = 16) counted by nested summation, whose table is O(m^3)
@@ -178,8 +179,9 @@ def _corpus_from_json(data) -> list[FuzzyMatrix]:
 
 
 def _corpus_from_text(text: str) -> list[FuzzyMatrix]:
-    runs = itertools.groupby(text.splitlines(), key=lambda line: bool(line.strip()))
-    return [FuzzyMatrix.parse_text("\n".join(lines)) for filled, lines in runs if filled]
+    # each run of lines with a token is one matrix, built from its token rows
+    runs = itertools.groupby(map(str.split, text.splitlines()), key=bool)
+    return [FuzzyMatrix.from_rows(rows) for filled, rows in runs if filled]
 
 
 def _load_corpus(path: str, fmt: str) -> list[FuzzyMatrix]:

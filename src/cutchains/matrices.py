@@ -4,6 +4,9 @@ A crisp matrix is identified with its support, the set of cells holding a 1,
 which it stores as an int bitmask.  A fuzzy matrix holds membership degrees in
 [0, 1]; entries are Fractions so that comparisons against 0 and 1, which the
 equivalence relation hinges on, are exact.  Floats are rejected outright.
+A k-level matrix holds few distinct values over its n^2 cells, so the
+constructor parses and range-checks each distinct value text once per matrix,
+and the entries that repeat a text share one Fraction.
 """
 
 from __future__ import annotations
@@ -110,8 +113,6 @@ def format_value(value: Fraction) -> str:
 
 
 def _coerce_entry(value) -> Fraction:
-    if type(value) is Fraction:  # the common case, ahead of the isinstance chain
-        return value
     if isinstance(value, str):
         return parse_value(value)
     if isinstance(value, Fraction):
@@ -237,32 +238,44 @@ class FuzzyMatrix(_Value):
     def __init__(self, order: int, entries) -> None:
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
-        rows = tuple(tuple(map(_coerce_entry, row)) for row in entries)
+        parsed = {}  # the value of each distinct str entry, parsed once in this call
+        outside = []  # values outside [0, 1], in row-major order of first occurrence
+
+        def coerce(entry) -> Fraction:
+            if type(entry) is Fraction:
+                value = entry
+            elif type(entry) is str:
+                if entry in parsed:
+                    return parsed[entry]  # range-checked where the text first occurred
+                value = parsed[entry] = parse_value(entry)
+            else:
+                value = _coerce_entry(entry)
+            # Fraction's own fields, as its properties are Python calls; the
+            # denominator is positive, so v in [0, 1] compares two ints
+            if not 0 <= value._numerator <= value._denominator:
+                outside.append(value)
+            return value
+
+        # a value outside [0, 1] is noted as it is made but raised last, after
+        # every entry is coerced and the shape checked
+        rows = tuple(tuple(map(coerce, row)) for row in entries)
         if len(rows) != order or any(len(row) != order for row in rows):
             raise ValueError(f"entries do not form an {order}x{order} grid")
-        for row in rows:
-            for v in row:
-                # denominators are positive, so v in [0, 1] compares two ints
-                if not 0 <= v.numerator <= v.denominator:
-                    raise ValueError(f"membership value {_shown_value(v)} outside [0, 1]")
+        if outside:
+            raise ValueError(f"membership value {_shown_value(outside[0])} outside [0, 1]")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "entries", rows)
 
     @classmethod
     def from_rows(cls, rows) -> "FuzzyMatrix":
         """Build from any square nest of strings, ints, or Fractions."""
-        rows = tuple(tuple(row) for row in rows)
+        rows = tuple(rows)
         return cls(len(rows), rows)
 
     @classmethod
     def parse_text(cls, text: str) -> "FuzzyMatrix":
         """Parse the plain-text form: n lines of n whitespace-separated values."""
-        lines = [line for line in text.splitlines() if line.strip()]
-        rows = []
-        for line in lines:
-            rows.append(tuple(parse_value(tok) for tok in line.split()))
-        matrix = cls(len(rows), tuple(rows))
-        return matrix
+        return cls.from_rows(filter(None, map(str.split, text.splitlines())))
 
     @classmethod
     def from_json_dict(cls, data) -> "FuzzyMatrix":
@@ -278,7 +291,7 @@ class FuzzyMatrix(_Value):
         if n != len(entries):  # checked here, so an error never repeats a long "n"
             raise ValueError(f'"n" must equal the number of rows of "entries", {len(entries)}')
         # each entry is coerced as the constructor coerces it, so a float is refused
-        return cls(n, tuple(tuple(row) for row in entries))
+        return cls(n, entries)
 
     def to_text(self) -> str:
         return "\n".join(" ".join(format_value(v) for v in row) for row in self.entries)

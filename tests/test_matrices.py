@@ -330,6 +330,122 @@ class TestFuzzyMatrix:
         assert FuzzyMatrix.from_json_dict(f.to_json_dict()) == f
 
 
+# Texts with many repeats and equal values spelled apart, with int and
+# Fraction entries and the odd value outside [0, 1] mixed in.
+shared_entries = st.sampled_from(
+    ["0", "1", "0.5", "1/2", "0.50", " 0.5 ", "5e-1", "0.25", "1/4", "3/4", "0.750"]
+    + [0, 1, Fraction(1, 2), Fraction(1, 4)]
+    + ["3/2", "-0.5", 2, Fraction(5, 4)]
+)
+
+
+
+@st.composite
+def shared_grids(draw):
+    """(n, an n x n nest of shared_entries) for n up to 4."""
+    n = draw(st.integers(0, 4))
+    return n, draw(st.lists(st.lists(shared_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _entrywise(n, rows):
+    """The matrix built from each entry parsed on its own, or the error it raised."""
+    try:
+        values = [[parse_value(t) if isinstance(t, str) else Fraction(t) for t in row] for row in rows]
+        return FuzzyMatrix(n, values)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestTextsParsedOncePerMatrix:
+    @settings(max_examples=300)
+    @given(shared_grids())
+    def test_agrees_with_entrywise_parse(self, grid):
+        n, rows = grid
+        try:
+            f = FuzzyMatrix(n, rows)
+        except ValueError as exc:
+            assert str(exc) == _entrywise(n, rows)
+            return
+        assert f == _entrywise(n, rows)
+        assert all(type(v) is Fraction for v in f.values())
+
+    def test_repeated_text_shares_one_value(self):
+        f = FuzzyMatrix.parse_text("0.3 0.3 1\n0.3 1 0\n1/2 0.5 0")
+        assert f.entry(1, 1) is f.entry(1, 2) is f.entry(2, 1)
+        assert f.entry(3, 1) == f.entry(3, 2) and f.entry(3, 1) is not f.entry(3, 2)
+
+    def test_each_distinct_text_parsed_once(self, monkeypatch):
+        texts = []
+
+        def counted(text):
+            texts.append(text)
+            return parse_value(text)
+
+        monkeypatch.setattr(matrices, "parse_value", counted)
+        rows = [["0.3", "0.3", "1"], ["0.3", "1", "0"], ["1/2", "0.5", "0"]]
+        FuzzyMatrix(3, rows)
+        assert sorted(texts) == ["0", "0.3", "0.5", "1", "1/2"]
+        FuzzyMatrix.from_json_dict({"n": 3, "entries": rows})  # nothing kept between calls
+        assert len(texts) == 10
+
+
+class TestFaultOrder:
+    """Coercion faults come before the shape check, and that before the range
+    check, which reports the first value outside [0, 1] in row-major order."""
+
+    def test_unparsable_text_after_value_outside(self):
+        for rows in ([["3/2", "0"], ["0", "x"]], [["3/2", "3/2"], ["3/2", "x"]]):
+            with pytest.raises(ValueError, match="^not a rational value: 'x'$"):
+                FuzzyMatrix(2, rows)
+        with pytest.raises(ValueError, match="^not a rational value: 'x'$"):
+            FuzzyMatrix.parse_text("2 2\n2 x")
+
+    def test_value_outside_in_a_bad_grid(self):
+        with pytest.raises(ValueError, match="^entries do not form an 2x2 grid$"):
+            FuzzyMatrix(2, [["3/2", "3/2"], ["3/2"]])
+        with pytest.raises(ValueError, match="^entries do not form an 2x2 grid$"):
+            FuzzyMatrix.parse_text("2 0\n2 0 2")
+
+    @pytest.mark.parametrize("rows, shown", [
+        ([["0", "3/2"], [2, "3/2"]], "3/2"),
+        ([["0", 2], ["3/2", "3/2"]], "2"),
+        ([["3/2", 2], ["3/2", 2]], "3/2"),
+        ([[2, "3/2"], ["3/2", 2]], "2"),
+        ([["0", "0"], ["0", Fraction(5, 4)]], "5/4"),
+    ])
+    def test_first_value_outside_reported(self, rows, shown):
+        with pytest.raises(ValueError, match=rf"^membership value {shown} outside \[0, 1\]$"):
+            FuzzyMatrix(2, rows)
+
+    @pytest.mark.parametrize("entry, message", [
+        (True, "^cannot use bool as a membership value$"),
+        (1.0, r"^float entries are not allowed \(got 1\.0\)"),
+    ])
+    def test_bool_and_float_refused_after_equal_values(self, entry, message):
+        # True == 1.0 == 1 == Fraction(1), and all four hash alike
+        with pytest.raises(TypeError, match=message):
+            FuzzyMatrix(2, [["1", 1], [Fraction(1), entry]])
+        with pytest.raises(TypeError, match=message):
+            FuzzyMatrix.from_json_dict({"n": 2, "entries": [["1", 1], [1, entry]]})
+
+    def test_str_subclass_entry_parsed(self, monkeypatch):
+        class Text(str):
+            pass
+
+        texts = []
+
+        def recorded(text):
+            texts.append(text)
+            return parse_value(text)
+
+        monkeypatch.setattr(matrices, "parse_value", recorded)
+        f = FuzzyMatrix(2, [["0.5", Text("0.5")], [Text("1/2"), "0"]])
+        assert f.entries == ((Fraction(1, 2),) * 2, (Fraction(1, 2), Fraction(0)))
+        assert [type(t) for t in texts].count(Text) == 2
+        with pytest.raises(ValueError, match="^not a rational value: 'x'$"):
+            FuzzyMatrix(1, [[Text("x")]])
+
+
 class TestFuzzyAlgebra:
     def test_examples(self):
         a = FuzzyMatrix.from_rows([["0.3"]])
