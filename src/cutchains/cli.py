@@ -27,12 +27,12 @@ EXIT_MALFORMED = 4
 
 
 # Largest input file read, in bytes.  A 4 MiB text corpus of 32,000 order-6
-# matrices with short entries (".dd", "0", "1") takes `classify` 4.5-5.8 s and
-# 130 MiB peak RSS to parse (3.2 s) and group, and is then refused by
-# MAX_SIGNATURE_CELLS before any class is built; so is one of 35,000 with
-# three-digit entries (".ddd", "0", "1"), in 4.4-5.2 s.  One of 57,000 order-6
-# 0/1 matrices, 57,000 classes of one or two cuts, is served in 10.7-11.6 s and
-# 150 MiB, writing 55 MB (Python 3.11, one process).
+# matrices with short entries (".dd", "0", "1") takes `classify` 5.1-5.6 s and
+# 95 MiB peak RSS to parse (most of the time) and group, and is then refused by
+# MAX_SIGNATURE_CELLS before any cut is built; so is one of 35,000 with
+# three-digit entries (".ddd", "0", "1"), in 3.8-4.9 s and 103 MiB.  One of
+# 57,000 order-6 0/1 matrices, 57,000 classes of one or two cuts, is served in
+# 8.5-12.3 s and 148 MiB, writing 55 MB (Python 3.11, one process).
 MAX_INPUT_BYTES = 4 * 2**20
 
 # Largest cell count (n = 16) counted by nested summation, whose table is O(m^3)
@@ -44,10 +44,11 @@ NAIVE_MAX_CELLS = 256
 # positive values has p cuts of n^2 bits each, p + 1 when no entry is 1.  An
 # order-56 matrix of 3,136 distinct values (9.8 million cells) takes `signature`
 # 0.27 s and 46 MiB peak RSS for 9.8 MB of output, and an order-70 one (24
-# million cells) 0.39 s and 88 MiB (Python 3.11, one process).  `signature` and
-# `classify` refuse a larger matrix before any cut is built.  `classify` writes
-# each class's k + 1 cuts and its representative, so it is also refused above
-# this many cells summed over its classes.
+# million cells) 0.39 s and 88 MiB (Python 3.11, one process).  `signature`
+# refuses a larger matrix before any cut is built.  `classify` writes each
+# class's k + 1 cuts and its representative, so it refuses a corpus whose
+# classes hold more cells than this in all, counted off their rank patterns
+# before any cut is built; a member over the limit puts its own class over it.
 MAX_SIGNATURE_CELLS = 10**7
 
 
@@ -82,7 +83,7 @@ def _emit(text: str | Iterable[str], output: str | None) -> None:
         if output is None:
             # the interpreter flushes stdout again as it exits: send what is left
             # of the buffer to the null device, so that flush cannot fail as well
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _to_null_device(sys.stdout)
         raise ValueError(f"cannot write {output or 'stdout'}: {exc}") from exc
 
 
@@ -94,7 +95,16 @@ def _report(line: str) -> None:
     try:
         print(line, file=sys.stderr, flush=True)
     except OSError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())  # as _emit, for stdout
+        _to_null_device(sys.stderr)  # as _emit, for stdout
+
+
+def _to_null_device(stream) -> None:
+    """Point stream's file descriptor at the null device, closing the one opened for it."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, stream.fileno())
+    finally:
+        os.close(null)
 
 
 def _json_array_chunks(items: Iterable, margin: str = "") -> Iterator[str]:
@@ -297,21 +307,19 @@ def _check_signature_cells(matrix: FuzzyMatrix) -> None:
 
 def _cmd_classify(args) -> int:
     corpus = _load_corpus(args.input, args.input_format)
-    for matrix in corpus:
-        _check_signature_cells(matrix)
     try:
-        order, patterns, by_masks = cuts._group_corpus(corpus)
+        order, by_pattern = cuts._group_corpus(corpus)
     except ValueError as exc:
-        raise MalformedInputError(str(exc)) from exc
-    # each class's cut masks are its signature's cuts, so the report is bounded
-    # before any signature or representative is built
-    cells = sum(map(len, by_masks)) * order**2
+        raise MalformedInputError(f"malformed corpus file {args.input}: {exc}") from exc
+    # each class's signature has k + 1 cuts, known from its rank pattern, so the
+    # report is bounded before any cut is built
+    cells = sum(pattern.k + 1 for pattern in by_pattern) * order**2
     if cells > MAX_SIGNATURE_CELLS:
         raise InfeasibleJobError(
             f"the class signatures of an order-{order} corpus have {cells} cells "
             f"in all, above the limit of {MAX_SIGNATURE_CELLS}"
         )
-    result = cuts._build_classes(order, patterns, by_masks)  # classify_corpus, in two steps
+    result = cuts._build_classes(order, by_pattern)  # classify_corpus, in two steps
     # streamed one class at a time, so the report is never held whole
     _emit(_json_array_chunks(cls.to_json_dict() for cls in result.classes), args.output)
     return EXIT_OK

@@ -77,10 +77,15 @@ def strong_alpha_cut(f: FuzzyMatrix, alpha) -> CrispMatrix:
 class _RankPattern(NamedTuple):
     """Integer keys for f's entries; the ranks of 0 and 1 fix which cells hold them."""
 
-    ranks: list[int]  # each entry's dense rank among the distinct values, row-major
+    ranks: tuple[int, ...]  # each entry's dense rank among the distinct values, row-major
     count: int  # number of distinct values
     zero: int  # rank of 0, or -1 where no entry is 0
     one: int  # rank of 1, or -1 where no entry is 1
+
+    @property
+    def k(self) -> int:
+        """Number of distinct values strictly inside (0, 1); the cut masks number k + 1."""
+        return self.count - (self.zero >= 0) - (self.one >= 0)
 
 
 def _rank_pattern(f: FuzzyMatrix) -> _RankPattern:
@@ -102,14 +107,13 @@ def _rank_pattern(f: FuzzyMatrix) -> _RankPattern:
         ]
     rank = {p: r for r, p in enumerate(distinct)}
     return _RankPattern(
-        [rank[p] for p in pairs], len(distinct), rank.get((0, 1), -1), rank.get((1, 1), -1)
+        tuple([rank[p] for p in pairs]), len(distinct), rank.get((0, 1), -1), rank.get((1, 1), -1)
     )
 
 
 def k_level(f: FuzzyMatrix) -> int:
     """Number of distinct entry values strictly inside (0, 1)."""
-    pattern = _rank_pattern(f)
-    return pattern.count - (pattern.zero >= 0) - (pattern.one >= 0)
+    return _rank_pattern(f).k
 
 
 def _check_masks(order: int, masks: tuple[int, ...]) -> None:
@@ -337,57 +341,53 @@ class Classification(_Value):
         return [cls.to_json_dict() for cls in self.classes]
 
 
-def _group_corpus(
-    matrices: Iterable[FuzzyMatrix],
-) -> tuple[int, list[_RankPattern], dict[tuple[int, ...], list[int]]]:
-    """The corpus's order, each member's ranks, and the members' indices keyed
-    by the cut masks read off their ranks."""
+def _group_corpus(matrices: Iterable[FuzzyMatrix]) -> tuple[int, dict[_RankPattern, list[int]]]:
+    """The corpus's order, and the members' indices keyed by their rank patterns:
+    equivalent members share one, so each key is a class.  No cut is built."""
     corpus = list(matrices)
     if not corpus:
         raise ValueError("corpus must be nonempty")
     order = corpus[0].order
-    for f in corpus:
+    by_pattern: dict[_RankPattern, list[int]] = {}
+    for idx, f in enumerate(corpus):
         if f.order != order:
-            raise ValueError(f"mixed orders in corpus: {f.order} vs {order}")
-
-    patterns = [_rank_pattern(f) for f in corpus]
-    by_masks: dict[tuple[int, ...], list[int]] = {}
-    for idx, pattern in enumerate(patterns):
-        by_masks.setdefault(_cut_masks(order, pattern), []).append(idx)
-    return order, patterns, by_masks
+            orders = f"member {idx} has order {f.order}, member 0 has order {order}"
+            raise ValueError(f"mixed orders in corpus: {orders}")
+        by_pattern.setdefault(_rank_pattern(f), []).append(idx)
+    return order, by_pattern
 
 
-def _build_classes(
-    order: int, patterns: list[_RankPattern], by_masks: dict[tuple[int, ...], list[int]]
-) -> Classification:
-    """Each group's signature and representative, and every member re-checked against it."""
+def _build_classes(order: int, by_pattern: dict[_RankPattern, list[int]]) -> Classification:
+    """Each class's signature and representative, from the cut masks read once
+    off its rank pattern, and the representative re-checked against that pattern."""
     classes = []
     levels: tuple[Fraction, ...] = ()
-    for masks in sorted(by_masks, key=lambda masks: (len(masks), masks)):
+    keyed = [(_cut_masks(order, p), p, members) for p, members in by_pattern.items()]
+    keyed.sort(key=lambda item: (len(item[0]), item[0]))
+    for masks, pattern, members in keyed:
         sig = ChainSignature(order, masks)
         # canonical_representative(sig); the classes of one k arrive together and share levels
         if len(levels) != len(masks):
             levels = _even_levels(len(masks))
         rep = _reconstruct(order, levels, masks)
-        rep_pattern = _rank_pattern(rep)
-        members = tuple(by_masks[masks])
-        for idx in members:
-            if patterns[idx] != rep_pattern:
-                raise RuntimeError(
-                    f"classification disagreement on corpus index {idx}: "
-                    "cut-chain grouping contradicts the entrywise relation"
-                )
-        classes.append(EquivalenceClass(sig, rep, members))
+        # every member has this pattern, so one comparison re-checks them all
+        if _rank_pattern(rep) != pattern:
+            raise RuntimeError(
+                f"classification disagreement on corpus index {members[0]}: "
+                "the class's cut chain contradicts the entrywise relation"
+            )
+        classes.append(EquivalenceClass(sig, rep, tuple(members)))
     return Classification(order, tuple(classes))
 
 
 def classify_corpus(matrices: Iterable[FuzzyMatrix]) -> Classification:
     """Partition same-order matrices into equivalence classes.
 
-    Each member's ranks are computed once: the cut masks read off them key the
-    grouping, and the ranks themselves re-check the member against its class
-    representative (the direct entrywise procedure), so the two decision routes
-    cross-validate on every call.  Classes come by k, then cut masks (the cut
-    bitstrings' order), and each builds its signature and representative once.
+    Members are grouped by their rank patterns (the direct entrywise relation),
+    and each class's cut masks are read once off its pattern.  The class
+    representative, rebuilt from those masks, must have the class's pattern
+    again, so the two decision routes cross-validate on every class.  Classes
+    come by k, then cut masks (the cut bitstrings' order), and each builds its
+    signature and representative once.
     """
     return _build_classes(*_group_corpus(matrices))

@@ -268,10 +268,9 @@ class TestSignatureLimit:
 
 
 class TestClassifyLimit:
-    """A corpus with a member whose signature holds more than MAX_SIGNATURE_CELLS
-    cells is refused before it is classified, and a classification whose class
-    signatures hold more in all, (k + 1) * n^2 per class, before its report is
-    written."""
+    """A corpus whose class signatures hold more than MAX_SIGNATURE_CELLS cells in
+    all, (k + 1) * n^2 per class, is refused before any cut is built; a member
+    over the limit puts its own class over it."""
 
     def test_order_70_of_distinct_values_refused(self, capsys, tmp_path):
         n = 70
@@ -285,18 +284,35 @@ class TestClassifyLimit:
         assert err.startswith("infeasible job:") and err.count("\n") == 1
         assert f"{n * n * n * n} cells" in err
 
-    def test_large_member_refused_before_grouping(self, capsys, tmp_path, monkeypatch):
+    def test_large_member_refused_before_any_cut_is_built(self, capsys, tmp_path, monkeypatch):
         n = 120
         corpus = tmp_path / "distinct.txt"
         corpus.write_text(distinct_values_text(n))
 
-        def no_grouping(_):
-            raise AssertionError("the corpus was grouped")
+        def no_cuts(*_):
+            raise AssertionError("a cut was built")
 
-        monkeypatch.setattr(cuts, "_group_corpus", no_grouping)
+        monkeypatch.setattr(cuts, "_cut_masks", no_cuts)
+        monkeypatch.setattr(cuts, "_build_classes", no_cuts)
+        target = tmp_path / "classes.json"
+        code, out, err = run_cli(
+            capsys, "classify", "--input", str(corpus), "--output", str(target)
+        )
+        assert code == 3 and out == "" and not target.exists()
+        assert err.startswith("infeasible job:") and err.count("\n") == 1
+        assert f"{n**4} cells" in err
+
+    def test_malformed_corpus_reported_before_the_limit(self, capsys, tmp_path):
+        n = 70
+        corpus = tmp_path / "mixed.txt"
+        # a member over the limit, then one of another order
+        corpus.write_text(distinct_values_text(n) + "\n0.5\n")
         code, out, err = run_cli(capsys, "classify", "--input", str(corpus))
-        assert code == 3 and out == ""
-        assert err.startswith("infeasible job:") and f"{n**4} cells" in err
+        assert (code, out) == (4, "")
+        assert err == (
+            f"error: malformed corpus file {corpus}: mixed orders in corpus: "
+            f"member 1 has order 1, member 0 has order {n}\n"
+        )
 
     def test_limit_is_inclusive_and_counts_each_class_once(self, capsys, tmp_path, monkeypatch):
         corpus = tmp_path / "corpus.txt"
@@ -709,10 +725,22 @@ class TestMatrixCommands:
         assert len(json.loads(out)) == 2
 
     def test_classify_mixed_orders_is_malformed(self, capsys, tmp_path):
-        text = "0.5\n\n0.5 0.5\n0.5 0.5\n"
+        # the first member whose order differs is named, with both orders
+        text = "0.5\n\n1\n\n0.5 0.5\n0.5 0.5\n\n0\n"
         path = self.write(tmp_path, "corpus.txt", text)
-        code, _, err = run_cli(capsys, "classify", "--input", path)
-        assert code == 4
+        code, out, err = run_cli(capsys, "classify", "--input", path)
+        assert (code, out) == (4, "")
+        assert err == (
+            f"error: malformed corpus file {path}: mixed orders in corpus: "
+            "member 2 has order 2, member 0 has order 1\n"
+        )
+
+    @pytest.mark.parametrize("name,text", [("empty.txt", "\n \n"), ("empty.json", "[]")])
+    def test_classify_empty_corpus_is_malformed(self, capsys, tmp_path, name, text):
+        path = self.write(tmp_path, name, text)
+        code, out, err = run_cli(capsys, "classify", "--input", path)
+        assert (code, out) == (4, "")
+        assert err == f"error: malformed corpus file {path}: corpus must be nonempty\n"
 
     def test_format_override(self, capsys, tmp_path):
         # JSON content in a .txt file, forced with the override flag
@@ -763,6 +791,29 @@ class TestGoldenBytes:
             capsys, "classify", "--input", str(DATA / name), "--output", str(target)
         )
         assert code == 0 and out == "" and target.read_text() == self.CLASSIFY
+
+    def test_classify_ranks_each_member_once_and_reads_cuts_once_per_class(
+        self, capsys, monkeypatch
+    ):
+        calls = {"_rank_pattern": 0, "_cut_masks": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(cuts, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cuts, name, counted)
+
+        def refused(_):
+            raise AssertionError("a member's signature cells were checked")
+
+        monkeypatch.setattr(cli, "_check_signature_cells", refused)
+        code, out, _ = run_cli(capsys, "classify", "--input", str(DATA / "golden_corpus.txt"))
+        assert code == 0 and out == self.CLASSIFY
+        members, classes = len(self.blocks()), len(json.loads(out))
+        assert (members, classes) == (11, 8)  # some classes hold several members
+        # each member is ranked to group it, each representative to re-check its class
+        assert calls == {"_rank_pattern": members + classes, "_cut_masks": classes}
 
     @pytest.mark.parametrize("items", [[], [{}], [{"a": [1, {"b": []}]}, "x\ny", [[]]]])
     def test_streamed_report_matches_json_dumps(self, items):
@@ -992,6 +1043,24 @@ class TestWriteFailures:
             ["sh", "-c", 'exec "$@" 2>&-', "sh", *command], capture_output=True, env=env
         )
         assert (result.returncode, result.stdout) == (code, b"")
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_failed_writes_leave_no_descriptor_open(self, monkeypatch):
+        # stdout and stderr are pipes whose reader has gone, so the count and the
+        # error line both fail, and each stream is pointed at the null device
+        def broken_pipe():
+            read, write = os.pipe()
+            os.close(read)
+            return open(write, "w", encoding="utf-8")
+
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            with broken_pipe() as out, broken_pipe() as err:
+                monkeypatch.setattr(sys, "stdout", out)
+                monkeypatch.setattr(sys, "stderr", err)
+                assert main(["count", "--n", "2"]) == 2
+                monkeypatch.undo()
+        assert len(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.parametrize(
         "argv,first",
