@@ -15,7 +15,7 @@ import sys
 from typing import Iterable, Iterator
 
 from . import counting, cuts, enumeration
-from .cuts import equivalent_direct, signature
+from .cuts import equivalent_direct
 from .enumeration import InfeasibleJobError
 from .matrices import MAX_DIGITS, FuzzyMatrix
 
@@ -40,15 +40,16 @@ MAX_INPUT_BYTES = 4 * 2**20
 # `--n 22` about 24 s (Python 3.11, one process).
 NAIVE_MAX_CELLS = 256
 
-# Largest signature written, in cells: a matrix of order n with p distinct
-# positive values has p cuts of n^2 bits each, p + 1 when no entry is 1.  An
-# order-56 matrix of 3,136 distinct values (9.8 million cells) takes `signature`
-# 0.27 s and 46 MiB peak RSS for 9.8 MB of output, and an order-70 one (24
-# million cells) 0.39 s and 88 MiB (Python 3.11, one process).  `signature`
-# refuses a larger matrix before any cut is built.  `classify` writes each
-# class's k + 1 cuts and its representative, so it refuses a corpus whose
-# classes hold more cells than this in all, counted off their rank patterns
-# before any cut is built; a member over the limit puts its own class over it.
+# Largest report of `classify` and `signature`, in cells: the one size rule of
+# both.  A class's signature has one n^2-bit cut per distinct positive value,
+# and one more when no entry is 1, so a corpus whose classes hold more than
+# this in all is refused, counted off their rank patterns before any cut is
+# built; a member over the limit puts its own class over it, and `signature`
+# classifies the one-member corpus of its matrix.  An order-56 matrix of 3,136
+# distinct values (9.8 million cells) takes `signature` 0.15-0.20 s and 46 MiB
+# peak RSS for 9.8 MB of output.  The input with the most cells, a 4 MiB
+# order-1448 0/1 text matrix, takes `signature` 3.6 s and 258 MiB, and
+# `classify` 4.2 s and 372 MiB (Python 3.11, one process).
 MAX_SIGNATURE_CELLS = 10**7
 
 
@@ -204,11 +205,11 @@ def _check_count_job(m: int, method: str, k: int | None = None, root: str | None
     A k outside 0..m counts no chain under every method, so it is never
     refused.  Nested summation is refused above NAIVE_MAX_CELLS.
 
-    A count is printed only up to MAX_DIGITS digits.  Counts are bounded
-    without computing them: a chain of length k is a map from the m cells into
-    k+2 slots (k+1 rooted), so there are at most (k+2)^m of them, and the total
-    over every k is at most 4*Fubini(m), where
-    Fubini(m) = sum_j j^m / 2^(j+1) < m!/ln(2)^(m+1).
+    A count is printed only up to MAX_DIGITS digits.  A total is bounded
+    without computing it: it is at most 4*Fubini(m), where
+    Fubini(m) = sum_j j^m / 2^(j+1) < m!/ln(2)^(m+1).  A per-k count is
+    refused here when a lower bound on it, k! * slots^(m-k), is already too
+    long; otherwise it is computed, and _cmd_count checks its length.
     """
     if k is not None and not 0 <= k <= m:
         return
@@ -216,14 +217,17 @@ def _check_count_job(m: int, method: str, k: int | None = None, root: str | None
         raise InfeasibleJobError(
             f"nested summation over m={m} cells is above its limit of {NAIVE_MAX_CELLS} cells"
         )
-    ln_bound = math.log(4) + math.lgamma(m + 1) - (m + 1) * math.log(math.log(2))
-    log10_bound = ln_bound / math.log(10)
-    if k is not None:
-        log10_bound = min(log10_bound, m * math.log10(k + (2 if root is None else 1)))
-    digits = int(log10_bound) + 1
+    if k is None:
+        ln_bound = math.log(4) + math.lgamma(m + 1) - (m + 1) * math.log(math.log(2))
+        size = "may have"
+    else:
+        # the factor 1 - 1e-12 keeps float error from rounding the bound's digits up
+        ln_bound = enumeration._ln_chains_at_least(m, k, root) * (1 - 1e-12)
+        size = "has at least"
+    digits = int(ln_bound / math.log(10)) + 1
     if digits > MAX_DIGITS:
         raise InfeasibleJobError(
-            f"a count over m={m} cells may have {digits} digits, "
+            f"a count over m={m} cells {size} {digits} digits, "
             f"above the limit of {MAX_DIGITS} for printing an integer"
         )
 
@@ -239,6 +243,11 @@ def _cmd_count(args) -> int:
         value = counting.chain_count(m, args.k)
     else:
         value = counting.chain_count_rooted(m, args.k, args.root)
+    if value >= 10**MAX_DIGITS:  # a per-k count within its lower bound, but too long
+        raise InfeasibleJobError(
+            f"a count over m={m} cells has more than {MAX_DIGITS} digits, "
+            f"above the limit of {MAX_DIGITS} for printing an integer"
+        )
     _emit(f"{value}\n", None)
     return EXIT_OK
 
@@ -291,35 +300,25 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _check_signature_cells(matrix: FuzzyMatrix) -> None:
-    """Refuse a matrix whose signature, one n^2-cell cut per distinct positive
-    value and one more when no entry is 1, has over MAX_SIGNATURE_CELLS cells."""
-    cells = matrix.order**2
-    if (cells + 1) * cells <= MAX_SIGNATURE_CELLS:  # no signature of this order is larger
-        return
-    cells *= cuts.k_level(matrix) + 1  # a k-level matrix has k + 1 cuts
-    if cells > MAX_SIGNATURE_CELLS:
-        raise InfeasibleJobError(
-            f"the signature of an order-{matrix.order} matrix has {cells} cells, "
-            f"above the limit of {MAX_SIGNATURE_CELLS}"
-        )
-
-
-def _cmd_classify(args) -> int:
-    corpus = _load_corpus(args.input, args.input_format)
+def _classes(corpus: list[FuzzyMatrix], path: str) -> cuts.Classification:
+    """classify_corpus(corpus), read from path, in its two steps, with the
+    report bounded between them: each class's k + 1 cuts are known from its
+    rank pattern, so no cut is built for a refused corpus."""
     try:
         order, by_pattern = cuts._group_corpus(corpus)
     except ValueError as exc:
-        raise MalformedInputError(f"malformed corpus file {args.input}: {exc}") from exc
-    # each class's signature has k + 1 cuts, known from its rank pattern, so the
-    # report is bounded before any cut is built
+        raise MalformedInputError(f"malformed corpus file {path}: {exc}") from exc
     cells = sum(pattern.k + 1 for pattern in by_pattern) * order**2
     if cells > MAX_SIGNATURE_CELLS:
         raise InfeasibleJobError(
             f"the class signatures of an order-{order} corpus have {cells} cells "
             f"in all, above the limit of {MAX_SIGNATURE_CELLS}"
         )
-    result = cuts._build_classes(order, by_pattern)  # classify_corpus, in two steps
+    return cuts._build_classes(order, by_pattern)
+
+
+def _cmd_classify(args) -> int:
+    result = _classes(_load_corpus(args.input, args.input_format), args.input)
     # streamed one class at a time, so the report is never held whole
     _emit(_json_array_chunks(cls.to_json_dict() for cls in result.classes), args.output)
     return EXIT_OK
@@ -336,9 +335,9 @@ def _cmd_equivalent(args) -> int:
 
 
 def _cmd_signature(args) -> int:
-    matrix = _load_matrix(args.input, args.input_format)
-    _check_signature_cells(matrix)
-    _emit(json.dumps(signature(matrix).to_json_dict(), indent=2) + "\n", args.output)
+    # the one class of a one-member corpus, bounded and re-checked as classify's are
+    (cls,) = _classes([_load_matrix(args.input, args.input_format)], args.input).classes
+    _emit(json.dumps(cls.signature.to_json_dict(), indent=2) + "\n", args.output)
     return EXIT_OK
 
 

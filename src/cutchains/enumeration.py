@@ -149,6 +149,14 @@ class ChainRecord(_Value):
         return tuple(mask_to_bits(c, self.cell_count) for c in self.components)
 
 
+def _ln_chains_at_least(m: int, k: int, root: str | None) -> float:
+    """The natural log of k! * slots^(m-k), a lower bound on the chains of k
+    steps over m cells, 0 <= k <= m: k fixed cells enter one per step in any
+    order, and each other cell takes any of the k+2 slots (k+1 rooted)."""
+    slots = k + 2 if root is None else k + 1
+    return math.lgamma(k + 1) + (m - k) * math.log(slots)
+
+
 def _check_job(m: int, k: int, root: str | None, ceiling: int) -> None:
     if ceiling < 0:
         # a usage error, not a job refused for its size
@@ -156,12 +164,9 @@ def _check_job(m: int, k: int, root: str | None, ceiling: int) -> None:
     if root is not None:
         _check_root(root)
     if 0 <= k <= m and (k + 1) * m * math.log2(k + 2) > _EXACT_PROJECTION_BITS:
-        # k cells enter one per step in any order and the rest take any slot, so
-        # there are at least k! * slots^(m-k) chains; the factor 1 - 1e-12 keeps
-        # float error from rounding bits above the exact bit_length() - 1
-        slots = k + 2 if root is None else k + 1
-        ln_bound = math.lgamma(k + 1) + (m - k) * math.log(slots)
-        bits = int(ln_bound / math.log(2) * (1 - 1e-12))
+        # the factor 1 - 1e-12 keeps float error from rounding bits above the
+        # exact bit_length() - 1
+        bits = int(_ln_chains_at_least(m, k, root) / math.log(2) * (1 - 1e-12))
         if bits >= ceiling.bit_length():
             raise InfeasibleJobError(
                 f"projected at least 2^{bits} chains for m={m}, k={k} exceeds the ceiling {ceiling}"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -124,6 +125,25 @@ class TestPrintLimit:
         code, out, _ = run_cli(capsys, "count", "--n", "39", "--k", "5")
         assert code == 0 and len(out) == 1286 + 1
 
+    @pytest.mark.parametrize("root", [[], ["--root", "O"], ["--root", "J"]])
+    def test_printable_per_k_count_past_the_total_bound_served(self, capsys, root):
+        # the only chains of 1521 steps over 1521 cells add one cell per step
+        code, out, err = run_cli(capsys, "count", "--n", "39", "--k", "1521", *root)
+        assert (code, err) == (0, "")
+        assert len(out) == 4182 + 1 and int(out) == math.factorial(1521)
+
+    @pytest.mark.parametrize("root", [[], ["--root", "O"], ["--root", "J"]])
+    def test_too_long_per_k_count_refused_once_computed(self, capsys, root):
+        # its lower bound, 1000! * slots^521, has fewer than MAX_DIGITS digits
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "count", "--n", "39", "--k", "1000", *root)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err == (
+            f"infeasible job: a count over m=1521 cells has more than {MAX_DIGITS} digits, "
+            f"above the limit of {MAX_DIGITS} for printing an integer\n"
+        )
+
     def test_independent_of_the_interpreter_limit(self, capsys):
         caller_limit = sys.get_int_max_str_digits()
         try:
@@ -233,8 +253,9 @@ class TestNaiveLimit:
 
 
 class TestSignatureLimit:
-    """A signature of more than MAX_SIGNATURE_CELLS cells, n^2 per distinct
-    positive value and n^2 more when no entry is 1, is refused before any cut
+    """`signature` classifies the one-member corpus of its matrix, so a signature
+    of more than MAX_SIGNATURE_CELLS cells, n^2 per distinct positive value and
+    n^2 more when no entry is 1, is refused by classify's rule, before any cut
     is built."""
 
     def test_order_70_of_distinct_values_refused_at_once(self, capsys, tmp_path, monkeypatch):
@@ -243,10 +264,11 @@ class TestSignatureLimit:
         matrix.write_text(distinct_values_text(n))
         assert n**4 > MAX_SIGNATURE_CELLS  # n^2 values, 1 among them
 
-        def no_cuts(_):
+        def no_cuts(*_):
             raise AssertionError("a cut was built")
 
-        monkeypatch.setattr(cli, "signature", no_cuts)
+        monkeypatch.setattr(cuts, "_cut_masks", no_cuts)
+        monkeypatch.setattr(cuts, "_build_classes", no_cuts)
         target = tmp_path / "signature.json"
         start = time.perf_counter()
         code, out, err = run_cli(
@@ -254,8 +276,10 @@ class TestSignatureLimit:
         )
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == "" and not target.exists()
-        assert err.startswith("infeasible job:") and err.count("\n") == 1
-        assert f"{n**4} cells" in err
+        assert err == (
+            f"infeasible job: the class signatures of an order-{n} corpus have {n**4} cells "
+            f"in all, above the limit of {MAX_SIGNATURE_CELLS}\n"
+        )
 
     def test_limit_is_inclusive(self, capsys, tmp_path, monkeypatch):
         matrix = tmp_path / "f.txt"
@@ -265,6 +289,33 @@ class TestSignatureLimit:
         monkeypatch.setattr(cli, "MAX_SIGNATURE_CELLS", 11)
         code, _, err = run_cli(capsys, "signature", "--input", str(matrix))
         assert code == 3 and "12 cells" in err
+
+    def test_signature_is_built_as_a_class_once(self, capsys, tmp_path, monkeypatch):
+        matrix = tmp_path / "f.txt"
+        matrix.write_text("0.3 0.7\n0.7 1\n")
+        groupings = []
+        build_classes = cuts._build_classes
+
+        def record(*grouping):
+            groupings.append(grouping)
+            return build_classes(*grouping)
+
+        monkeypatch.setattr(cuts, "_build_classes", record)
+        code, out, _ = run_cli(capsys, "signature", "--input", str(matrix))
+        assert code == 0 and json.loads(out)["cuts"] == ["0001", "0111", "1111"]
+        assert len(groupings) == 1
+
+    def test_signature_is_rechecked_entrywise(self, tmp_path, monkeypatch):
+        matrix = tmp_path / "f.txt"
+        matrix.write_text("0.3 0.7\n0.7 1\n")
+        reconstruct = cuts._reconstruct
+
+        def drop_top_cut(n, levels, masks):
+            return reconstruct(n, tuple(levels)[1:], tuple(masks)[1:])
+
+        monkeypatch.setattr(cuts, "_reconstruct", drop_top_cut)
+        with pytest.raises(RuntimeError, match="classification disagreement on corpus index 0"):
+            main(["signature", "--input", str(matrix)])
 
 
 class TestClassifyLimit:
@@ -804,10 +855,6 @@ class TestGoldenBytes:
 
             monkeypatch.setattr(cuts, name, counted)
 
-        def refused(_):
-            raise AssertionError("a member's signature cells were checked")
-
-        monkeypatch.setattr(cli, "_check_signature_cells", refused)
         code, out, _ = run_cli(capsys, "classify", "--input", str(DATA / "golden_corpus.txt"))
         assert code == 0 and out == self.CLASSIFY
         members, classes = len(self.blocks()), len(json.loads(out))

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from helpers import (
     near_matrices,
     near_matrix_pairs,
     order_preserving_remap,
+    random_matrix,
     rank_pattern_oracle,
     shares_a_float,
 )
@@ -414,6 +416,63 @@ class TestMasksEndToEnd:
         assert cc.reconstruct(cc.cut_chain(f)) == f
         with pytest.raises(AssertionError, match="a CrispMatrix was built"):
             cc.signature(f).cuts
+
+
+def on_both_paths(f):
+    """f's cut masks, its reconstructed cut chain and its canonical representative,
+    from the per-cell bit loops and then from the linear paths, which every order
+    takes with cuts._BIT_LOOP_CELLS at -1."""
+    results = []
+    for limit in (cuts._BIT_LOOP_CELLS, -1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cuts, "_BIT_LOOP_CELLS", limit)
+            masks = cuts._cut_masks(f.order, cuts._rank_pattern(f))
+            representative = cc.canonical_representative(cc.ChainSignature(f.order, masks))
+            results.append((masks, cc.reconstruct(cc.cut_chain(f)), representative))
+    return results
+
+
+class TestLinearPaths:
+    """Above cuts._BIT_LOOP_CELLS cells, cut masks and representatives are built
+    in time linear in the cells; the per-cell bit loops are their oracle."""
+
+    @staticmethod
+    def check(f):
+        bit_loops, linear = on_both_paths(f)
+        assert linear == bit_loops
+        assert bit_loops[1] == f
+        levels, chain_cuts = levels_and_cuts_oracle(f)  # cuts by the bit loop, on Fractions
+        assert bit_loops[0] == tuple(cut.mask for cut in chain_cuts)
+        for level, cut in zip(levels, chain_cuts):
+            assert cc.alpha_cut(f, level) == cut
+        assert cc.strong_alpha_cut(f, 0) == chain_cuts[-1]
+
+    @given(st.one_of(fuzzy_matrices(max_order=8), near_matrices()))
+    def test_paths_agree(self, f):
+        self.check(f)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_paths_agree_at_every_order(self, n):
+        rng = random.Random(n)
+        crisp = M(*(rng.choices("01", k=n) for _ in range(n)))
+        distinct = M(*([F(i * n + j + 1, n * n) for j in range(n)] for i in range(n)))
+        zeros, ones = M(*(["0"] * n,) * n), M(*(["1"] * n,) * n)
+        for f in (random_matrix(rng, n), crisp, distinct, zeros, ones):
+            self.check(f)
+
+    def test_order_512_classified_in_linear_time(self):
+        n = 512
+        rng = random.Random(n)
+        entries = rng.choices(["0", "1/2", "1"], k=n * n)
+        f = M(*(entries[i * n : (i + 1) * n] for i in range(n)))
+        start = time.perf_counter()
+        (klass,) = cc.classify_corpus([f]).classes
+        # the per-cell bit loops took 4.3-5.3 s on an order-512 0/1 matrix
+        assert time.perf_counter() - start < 2.0
+        ones = int("".join("1" if e == "1" else "0" for e in entries), 2)
+        halves = int("".join("0" if e == "0" else "1" for e in entries), 2)
+        assert klass.signature.masks == (ones, halves)
+        assert klass.representative == f  # the even levels of k = 1 are 1 and 1/2
 
 
 # 1/3 and a value 1/(3*10^40) above it convert to the same float.
