@@ -2,6 +2,11 @@
 
 Exit codes: 0 success (or "equivalent"), 1 inequivalent, 2 usage error,
 3 infeasible job, 4 malformed input file.
+
+Each command imports only the library modules it calls, when it runs:
+counting for count, table and sequence; enumeration (and with it counting) for
+enumerate and lattice; cuts for classify, signature and equivalent.  matrices
+is imported by this module and by every other.
 """
 
 from __future__ import annotations
@@ -12,12 +17,12 @@ import json
 import math
 import os
 import sys
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import counting, cuts, enumeration
-from .cuts import equivalent_direct
-from .enumeration import InfeasibleJobError
-from .matrices import MAX_DIGITS, FuzzyMatrix
+from .matrices import MAX_DIGITS, FuzzyMatrix, InfeasibleJobError
+
+if TYPE_CHECKING:
+    from .cuts import Classification
 
 EXIT_OK = 0
 EXIT_INEQUIVALENT = 1
@@ -211,6 +216,8 @@ def _check_count_job(m: int, method: str, k: int | None = None, root: str | None
     refused here when a lower bound on it, k! * slots^(m-k), is already too
     long; otherwise it is computed, and _cmd_count checks its length.
     """
+    from . import counting
+
     if k is not None and not 0 <= k <= m:
         return
     if counting._pick_method(method) == "naive" and m > NAIVE_MAX_CELLS:
@@ -222,7 +229,7 @@ def _check_count_job(m: int, method: str, k: int | None = None, root: str | None
         size = "may have"
     else:
         # the factor 1 - 1e-12 keeps float error from rounding the bound's digits up
-        ln_bound = enumeration._ln_chains_at_least(m, k, root) * (1 - 1e-12)
+        ln_bound = counting._ln_chains_at_least(m, k, root) * (1 - 1e-12)
         size = "has at least"
     digits = int(ln_bound / math.log(10)) + 1
     if digits > MAX_DIGITS:
@@ -233,6 +240,8 @@ def _check_count_job(m: int, method: str, k: int | None = None, root: str | None
 
 
 def _cmd_count(args) -> int:
+    from . import counting
+
     m = args.n * args.n
     _check_count_job(m, args.method, args.k, args.root)
     if args.k is None:
@@ -253,6 +262,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import counting
+
     _check_count_job(args.max_n * args.max_n, args.method)
     # written as the sweep makes them, so one row is held at a time
     rows = counting._table_rows(args.max_n, args.root, args.method)
@@ -264,6 +275,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
+    from . import counting
+
     _check_count_job(args.max_n * args.max_n, args.method)
     pairs = counting.sequence(args.max_n, method=args.method)
     if args.b_file:
@@ -275,35 +288,38 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import enumeration
+
+    ceiling = enumeration.DEFAULT_CHAIN_CEILING if args.ceiling is None else args.ceiling
     if args.list and args.group_by_sizes:
         raise ValueError("--list and --group-by-sizes cannot be combined")
     if args.labels and not args.list:
         raise ValueError("--labels applies only to --list")
     if args.list:
         lines = enumeration.chain_lines(
-            args.m, args.k, args.root, labeled=args.labels, ceiling=args.ceiling
+            args.m, args.k, args.root, labeled=args.labels, ceiling=ceiling
         )
         # chain_lines has accepted the job, so a refused one leaves no file
         _emit((line + "\n" for line in lines), args.output)
         return EXIT_OK
     if args.group_by_sizes:
-        groups = enumeration.group_by_size_vector(
-            args.m, args.k, args.root, ceiling=args.ceiling
-        )
+        groups = enumeration.group_by_size_vector(args.m, args.k, args.root, ceiling=ceiling)
         text = "".join(
             f"{','.join(map(str, sizes))}: {count}\n" for sizes, count in groups.items()
         )
         _emit(text, args.output)
         return EXIT_OK
-    count = enumeration.count_chains(args.m, args.k, args.root, ceiling=args.ceiling)
+    count = enumeration.count_chains(args.m, args.k, args.root, ceiling=ceiling)
     _emit(f"{count}\n", args.output)
     return EXIT_OK
 
 
-def _classes(corpus: list[FuzzyMatrix], path: str) -> cuts.Classification:
+def _classes(corpus: list[FuzzyMatrix], path: str) -> Classification:
     """classify_corpus(corpus), read from path, in its two steps, with the
     report bounded between them: each class's k + 1 cuts are known from its
     rank pattern, so no cut is built for a refused corpus."""
+    from . import cuts
+
     try:
         order, by_pattern = cuts._group_corpus(corpus)
     except ValueError as exc:
@@ -325,11 +341,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_equivalent(args) -> int:
+    from . import cuts
+
     a = _load_matrix(args.file_a, args.input_format)
     b = _load_matrix(args.file_b, args.input_format)
     if a.order != b.order:
         raise MalformedInputError(f"order mismatch: {a.order} vs {b.order}")
-    same = equivalent_direct(a, b)
+    same = cuts.equivalent_direct(a, b)
     _emit("equivalent\n" if same else "inequivalent\n", None)
     return EXIT_OK if same else EXIT_INEQUIVALENT
 
@@ -342,6 +360,8 @@ def _cmd_signature(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    from . import enumeration
+
     diagram = enumeration.hasse_export(args.m)
     _emit(diagram.dot_lines() if args.format == "dot" else diagram.json_chunks(), args.output)
     return EXIT_OK
@@ -397,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="print one chain per line")
     p.add_argument("--labels", action="store_true", help="label components A_s^{cells}")
     p.add_argument("--group-by-sizes", action="store_true")
-    ceiling = enumeration.DEFAULT_CHAIN_CEILING
-    p.add_argument("--ceiling", type=_nonneg, default=ceiling, help="max projected chains")
+    # None stands for enumeration.DEFAULT_CHAIN_CEILING, read when the command runs
+    p.add_argument("--ceiling", type=_nonneg, default=None, help="max projected chains")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_enumerate)
 

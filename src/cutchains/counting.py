@@ -25,7 +25,7 @@ come from math.comb, and no table outlives the call that builds it.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, lgamma, log
 from operator import add
 from typing import Iterator, Literal
 
@@ -201,6 +201,14 @@ def chain_count_ie(m: int, k: int, root: Root | None = None) -> int:
         total += -term if i % 2 else term
         c = c * (k - i) // (i + 1)
     return total
+
+
+def _ln_chains_at_least(m: int, k: int, root: Root | None) -> float:
+    """The natural log of k! * slots^(m-k), a lower bound on chain_count_ie(m, k,
+    root) for 0 <= k <= m, in O(1): k fixed cells enter one per step in any
+    order, and each other cell takes any of the k+2 slots (k+1 rooted)."""
+    slots = k + 2 if root is None else k + 1
+    return lgamma(k + 1) + (m - k) * log(slots)
 
 
 def _ie_rows(max_m: int, root: Root | None) -> Iterator[list[int]]:

@@ -8,16 +8,17 @@ chain of k >= 1 steps is walked as k-1 free steps whose last support leaves at
 least one cell out, followed by the full support.  Each job is sized before its
 first chain is drawn and refused above the caller's chain ceiling: by the exact
 closed-form count (rooted or not), or, where that count would take long to
-compute, by an O(1) lower bound that already exceeds the ceiling.  One walk
-(_walk) streams the chains, each grown from its parent's prefix:
-enumerate_chains as tuples of masks (_chain_tuples), and chain_lines as listing
-lines, each line its parent's text plus one support.  So a listing streams in
-constant memory; chain_lines formats each support once per listing, through a
-memo of at most LISTING_MEMO_SIZE supports that is dropped with the listing; up
-to LABELLER_MAX_CELLS cells, a label the memo misses is read from _labeller's
-tables.  Two counting walks take the same walk without building the chains
-(_count_walk for count_chains, _group_walk for group_by_size_vector): every
-chain is still visited, the last free component of each in a loop, and no
+compute, by counting's O(1) lower bound that already exceeds the ceiling.  A
+refused job raises InfeasibleJobError, which matrices defines and this module
+re-exports.  One walk (_walk) streams the chains, each grown from its parent's
+prefix: enumerate_chains as tuples of masks (_chain_tuples), and chain_lines as
+listing lines, each line its parent's text plus one support.  So a listing
+streams in constant memory; chain_lines formats each support once per listing,
+through a memo of at most LISTING_MEMO_SIZE supports that is dropped with the
+listing; up to LABELLER_MAX_CELLS cells, a label the memo misses is read from
+_labeller's tables.  Two counting walks take the same walk without building the
+chains (_count_walk for count_chains, _group_walk for group_by_size_vector):
+every chain is still visited, the last free component of each in a loop, and no
 closed form is used.  The support lattice (HasseDiagram) is computed from m and
 written line by line, as DOT or as JSON, its labels read from two tables of
 half-width cell text (_labeller).
@@ -31,8 +32,8 @@ from collections import Counter
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .counting import _check_root, chain_count_ie
-from .matrices import _Value, mask_to_bits
+from .counting import _check_root, _ln_chains_at_least, chain_count_ie
+from .matrices import InfeasibleJobError, _Value, mask_to_bits
 
 __all__ = [
     "ChainRecord",
@@ -72,10 +73,6 @@ LABELLER_MAX_CELLS = 24
 _EXACT_PROJECTION_BITS = 10**6
 
 _T = TypeVar("_T")
-
-
-class InfeasibleJobError(Exception):
-    """Raised when a job's projected size exceeds its ceiling."""
 
 
 def support_label(mask: int, m: int) -> str:
@@ -147,14 +144,6 @@ class ChainRecord(_Value):
 
     def bitstrings(self) -> tuple[str, ...]:
         return tuple(mask_to_bits(c, self.cell_count) for c in self.components)
-
-
-def _ln_chains_at_least(m: int, k: int, root: str | None) -> float:
-    """The natural log of k! * slots^(m-k), a lower bound on the chains of k
-    steps over m cells, 0 <= k <= m: k fixed cells enter one per step in any
-    order, and each other cell takes any of the k+2 slots (k+1 rooted)."""
-    slots = k + 2 if root is None else k + 1
-    return math.lgamma(k + 1) + (m - k) * math.log(slots)
 
 
 def _check_job(m: int, k: int, root: str | None, ceiling: int) -> None:

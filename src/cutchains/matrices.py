@@ -7,6 +7,10 @@ equivalence relation hinges on, are exact.  Floats are rejected outright.
 A k-level matrix holds few distinct values over its n^2 cells, so the
 constructor parses and range-checks each distinct value text once per matrix,
 and the entries that repeat a text share one Fraction.
+
+This module is also the base that every other one shares: it holds the _Value
+base of the value classes, the digit bound MAX_DIGITS, and InfeasibleJobError,
+the error of a job refused for its size.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import Iterator
 __all__ = [
     "CrispMatrix",
     "FuzzyMatrix",
+    "InfeasibleJobError",
     "MAX_DIGITS",
     "bits_to_mask",
     "format_value",
@@ -134,6 +139,10 @@ def mask_to_bits(mask: int, m: int) -> str:
 def bits_to_mask(bits: str) -> int:
     """Support mask of a row-major bitstring."""
     return int(bits, 2) if bits else 0
+
+
+class InfeasibleJobError(Exception):
+    """Raised when a job's projected size exceeds its ceiling or limit."""
 
 
 class _Value:

@@ -1,9 +1,11 @@
 """The public surface: each module's __all__ and the package's re-exports agree,
 the names and attributes the benchmark reaches by attribute exist, the value
-classes behave as frozen values, and importing the package stays light."""
+classes behave as frozen values, and importing the package stays light: each
+submodule, and each CLI command's modules, load only when first used."""
 
 import ast
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -38,12 +40,16 @@ def test_package_reexports_module_names(module):
 
 
 def test_package_exports_nothing_else():
+    # read off __all__ and dir(), not vars(): a name is bound in the package only
+    # once it is first read, so vars() would depend on what earlier tests read
+    names = set().union(*map(reexported, MODULES))
+    assert sorted(cutchains.__all__) == sorted(names)
     public = {
         name
-        for name, value in vars(cutchains).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(cutchains)
+        if not name.startswith("_") and not isinstance(getattr(cutchains, name), types.ModuleType)
     }
-    assert public == set().union(*map(reexported, MODULES))
+    assert public == names
 
 
 def benchmark_inner_calls():
@@ -84,17 +90,112 @@ def test_benchmark_read_surface_exists():
     assert (sig.order, sig.k, sig.o_rooted, sig.j_rooted) == (2, 1, False, False)
 
 
-def test_import_loads_no_dataclasses():
-    # dataclasses (and the inspect module it imports) cost a CLI run about
-    # 15 ms of start-up; the value classes below are written out instead
+def run_fresh(script: str) -> str:
+    """The stdout of script, run in a fresh interpreter that imports the same
+    package as this process, installed or not; the script must succeed and
+    write nothing to stderr."""
     package_root = str(Path(cutchains.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    script = "import sys, cutchains, cutchains.cli; print('dataclasses' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path}, timeout=60,
     )
-    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+    assert (result.returncode, result.stderr) == (0, "")
+    return result.stdout
+
+
+# an expression for the package's submodules a process has loaded, sorted
+LOADED = "sorted(m for m in sys.modules if m.startswith('cutchains.'))"
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses (and the inspect module it imports) cost a CLI run about
+    # 15 ms of start-up; the value classes below are written out instead
+    script = "import sys, cutchains, cutchains.cli; print('dataclasses' in sys.modules)"
+    assert run_fresh(script) == "False\n"
+
+
+def test_import_loads_no_submodule():
+    # each submodule costs a process its compile time when no bytecode is
+    # cached; listing the package's names must not load them either
+    script = (
+        "import json, sys, cutchains\n"
+        "names = dir(cutchains)\n"
+        f"print(json.dumps([{LOADED}, sorted(set(cutchains.__all__) - set(names))]))"
+    )
+    assert json.loads(run_fresh(script)) == [[], []]
+
+
+COUNTING_MODULES = ["cutchains.cli", "cutchains.counting", "cutchains.matrices"]
+CUTS_MODULES = ["cutchains.cli", "cutchains.cuts", "cutchains.matrices"]
+ENUMERATION_MODULES = [
+    "cutchains.cli", "cutchains.counting", "cutchains.enumeration", "cutchains.matrices"
+]
+
+# each CLI command, run on a tiny job, and the submodules a process running it loads
+COMMAND_MODULES = [
+    (["count", "--n", "2"], COUNTING_MODULES),
+    (["table", "--max-n", "2"], COUNTING_MODULES),
+    (["sequence", "--max-n", "2"], COUNTING_MODULES),
+    (["enumerate", "--m", "3", "--k", "1"], ENUMERATION_MODULES),
+    (["lattice", "--m", "2"], ENUMERATION_MODULES),
+    (["classify", "--input", "{a}"], CUTS_MODULES),
+    (["signature", "--input", "{a}"], CUTS_MODULES),
+    (["equivalent", "{a}", "{b}"], CUTS_MODULES),
+]
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES, ids=[c[0][0] for c in COMMAND_MODULES])
+def test_command_loads_only_its_modules(tmp_path, argv, modules):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("0 1/2\n0.25 1\n", encoding="utf-8")
+    b.write_text("0 1/3\n0.2 1\n", encoding="utf-8")
+    argv = [arg.format(a=a, b=b) for arg in argv]
+    script = (
+        "import json, sys, cutchains.cli\n"
+        f"code = cutchains.cli.main({argv!r})\n"
+        f"print(json.dumps([code, {LOADED}]))"
+    )
+    assert json.loads(run_fresh(script).splitlines()[-1]) == [0, modules]
+
+
+def test_submodules_resolve_after_benchmark_import():
+    # the benchmark imports cutchains and cutchains.cli, then reads the four
+    # submodules as attributes of the package
+    script = (
+        "import sys, cutchains, cutchains.cli\n"
+        "for name in ('counting', 'cuts', 'enumeration', 'matrices'):\n"
+        "    module = getattr(cutchains, name)\n"
+        "    print(name, module is sys.modules['cutchains.' + name])"
+    )
+    assert run_fresh(script) == "counting True\ncuts True\nenumeration True\nmatrices True\n"
+
+
+def test_star_import_binds_each_name_to_its_module_object():
+    script = (
+        "import json\n"
+        "from cutchains import *\n"
+        "from cutchains import __all__ as names, counting, cuts, enumeration, matrices\n"
+        "wrong = []\n"
+        "for name in names:\n"
+        "    owners = [m for m in (counting, cuts, enumeration, matrices) if name in m.__all__]\n"
+        "    if not owners or any(globals().get(name) is not getattr(m, name) for m in owners):\n"
+        "        wrong.append(name)\n"
+        "print(json.dumps([len(names), wrong]))"
+    )
+    assert json.loads(run_fresh(script)) == [len(cutchains.__all__), []]
+
+
+def test_unknown_name_raises_attribute_error():
+    script = (
+        "import json, sys, cutchains\n"
+        "try:\n"
+        "    cutchains.nope\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        f"print(json.dumps([hasattr(cutchains, 'nope'), {LOADED}]))"
+    )
+    assert run_fresh(script) == "module 'cutchains' has no attribute 'nope'\n[false, []]\n"
 
 
 SIGNATURE = cutchains.ChainSignature(2, (0b0001, 0b1011))

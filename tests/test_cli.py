@@ -563,6 +563,15 @@ class TestEnumerate:
         assert code == 3
         assert "110" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--list"], ["--group-by-sizes"]])
+    def test_default_ceiling_is_the_library_one(self, capsys, extra):
+        # --ceiling defaults to enumeration.DEFAULT_CHAIN_CEILING, read when
+        # the command runs, so building the parser loads no library module
+        code, out, err = run_cli(capsys, "enumerate", "--m", "30", "--k", "5", *extra)
+        ceiling = cutchains.enumeration.DEFAULT_CHAIN_CEILING
+        assert (code, out) == (3, "")
+        assert err.endswith(f" exceeds the ceiling {ceiling}\n") and err.count("\n") == 1
+
     @pytest.mark.parametrize("m", ["4000", "9100"])  # a 1909- and a 4342-digit projection
     def test_huge_projection_refused_in_one_short_line(self, capsys, m):
         code, out, err = run_cli(capsys, "enumerate", "--m", m, "--k", "1")

@@ -234,6 +234,15 @@ class TestInclusionExclusion:
         assert cc.counting._ie_total(2, None) == 11
         assert cc.counting._ie_total(2, "O") == 6
 
+    @pytest.mark.parametrize("root", [None, "O", "J"])
+    def test_lower_bound_below_the_count_and_tight_at_full_length(self, root):
+        # the O(1) bound that refuses a job before its count is computed
+        for m, row in enumerate(cc.counting._ie_rows(40, root)):
+            for k, count in enumerate(row):
+                bound = cc.counting._ln_chains_at_least(m, k, root)
+                assert bound <= math.log(count) * (1 + 1e-12) + 1e-12, (m, k)
+            assert math.isclose(bound, math.lgamma(m + 1), abs_tol=1e-12)  # m! at k = m
+
 
 class TestTotals:
     def test_sequence_values(self):
