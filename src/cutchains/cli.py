@@ -36,8 +36,10 @@ EXIT_MALFORMED = 4
 # 95 MiB peak RSS to parse (most of the time) and group, and is then refused by
 # MAX_SIGNATURE_CELLS before any cut is built; so is one of 35,000 with
 # three-digit entries (".ddd", "0", "1"), in 3.8-4.9 s and 103 MiB.  One of
-# 57,000 order-6 0/1 matrices, 57,000 classes of one or two cuts, is served in
-# 8.5-12.3 s and 148 MiB, writing 55 MB (Python 3.11, one process).
+# 57,456 order-6 0/1 matrices, as many classes of one or two cuts, is served in
+# 7.3-9.8 s and 148 MiB, writing 55 MB.  One of 1,398,101 order-1 0/1
+# matrices, two classes, is served in 11-15 s and 292 MiB, nearly all of it
+# parsing and grouping the members (Python 3.11, one process).
 MAX_INPUT_BYTES = 4 * 2**20
 
 # Largest cell count (n = 16) counted by nested summation, whose table is O(m^3)
@@ -336,7 +338,7 @@ def _classes(corpus: list[FuzzyMatrix], path: str) -> Classification:
 def _cmd_classify(args) -> int:
     result = _classes(_load_corpus(args.input, args.input_format), args.input)
     # streamed one class at a time, so the report is never held whole
-    _emit(_json_array_chunks(cls.to_json_dict() for cls in result.classes), args.output)
+    _emit(_json_array_chunks(result._json_dicts()), args.output)
     return EXIT_OK
 
 

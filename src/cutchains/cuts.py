@@ -6,14 +6,15 @@ when they realize the same chain, so the chain (with levels discarded) is a
 canonical signature for the equivalence class.  Both decision procedures are
 implemented: the direct entrywise definition and the cut-chain comparison.
 Cuts are stored as int support masks; a `CrispMatrix` is built only for an
-alpha cut and for `ChainSignature.cuts`.
+alpha cut and for `ChainSignature.cuts`.  A classification's report formats
+each distinct value once per report: the classes of one k share their levels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .matrices import (
     ONE,
@@ -23,6 +24,7 @@ from .matrices import (
     _same_order,
     _Value,
     bits_to_mask,
+    format_value,
     mask_to_bits,
     parse_value,
 )
@@ -107,7 +109,7 @@ def _rank_pattern(f: FuzzyMatrix) -> _RankPattern:
     correctly, so the float order never contradicts the exact one, and values
     that share a float are ordered among themselves by exact comparison.
     """
-    pairs = [v.as_integer_ratio() for row in f.entries for v in row]
+    pairs = [(v._numerator, v._denominator) for row in f.entries for v in row]
     floats = {p: p[0] / p[1] for p in pairs}
     distinct = sorted(floats, key=floats.__getitem__)
     if len(set(floats.values())) < len(distinct):
@@ -209,10 +211,12 @@ class ChainSignature(_Value):
 
     def to_json_dict(self) -> dict:
         m = self.order * self.order
+        spec = f"0{m}b"  # as mask_to_bits, with one format spec for all the cuts
         return {
             "n": self.order,
             "k": self.k,
-            "cuts": [mask_to_bits(mask, m) for mask in self.masks],
+            # order 0 has the one cut, the empty one, which the spec would print as "0"
+            "cuts": [format(mask, spec) for mask in self.masks] if m else [""],
             "o_rooted": self.o_rooted,
             "j_rooted": self.j_rooted,
         }
@@ -351,9 +355,14 @@ class EquivalenceClass(_Value):
         object.__setattr__(self, "members", members)
 
     def to_json_dict(self) -> dict:
+        return self._json_dict(format_value)
+
+    def _json_dict(self, text) -> dict:
+        """to_json_dict(), with each representative entry written by text in
+        place of format_value."""
         return {
             "signature": self.signature.to_json_dict(),
-            "representative": self.representative.to_json_dict(),
+            "representative": self.representative._json_dict(text),
             "members": list(self.members),
         }
 
@@ -373,7 +382,22 @@ class Classification(_Value):
         return len(self.classes)
 
     def to_json_list(self) -> list[dict]:
-        return [cls.to_json_dict() for cls in self.classes]
+        return list(self._json_dicts())
+
+    def _json_dicts(self) -> Iterator[dict]:
+        """Each class's to_json_dict(), in order, with each distinct value
+        formatted once in the call: the classes of one k share their levels."""
+        texts: dict[tuple[int, int], str] = {}  # format_value of each value met so far
+
+        def text(v: Fraction) -> str:
+            try:
+                return texts[v._numerator, v._denominator]
+            except KeyError:
+                shown = texts[v._numerator, v._denominator] = format_value(v)
+                return shown
+
+        for cls in self.classes:
+            yield cls._json_dict(text)
 
 
 def _group_corpus(matrices: Iterable[FuzzyMatrix]) -> tuple[int, dict[_RankPattern, list[int]]]:

@@ -306,10 +306,11 @@ class FuzzyMatrix(_Value):
         return "\n".join(" ".join(format_value(v) for v in row) for row in self.entries)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.order,
-            "entries": [[format_value(v) for v in row] for row in self.entries],
-        }
+        return self._json_dict(format_value)
+
+    def _json_dict(self, text) -> dict:
+        """to_json_dict(), with each entry written by text in place of format_value."""
+        return {"n": self.order, "entries": [[text(v) for v in row] for row in self.entries]}
 
     def entry(self, i: int, j: int) -> Fraction:
         """Entry at 1-based (i, j)."""

@@ -6,13 +6,14 @@ equivalence is decided pair of cells by pair of cells, so agreement with the
 library is a genuine cross-check.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
 from hypothesis import strategies as st
 
-from cutchains import CrispMatrix, FuzzyMatrix, mask_to_bits, support_label
+from cutchains import CrispMatrix, FuzzyMatrix, format_value, mask_to_bits, support_label
 from cutchains.matrices import MAX_DIGITS
 
 
@@ -152,6 +153,41 @@ def parse_value_oracle(text):
         return Fraction(text.strip())
     except ZeroDivisionError as exc:
         raise ValueError("zero denominator") from exc
+
+
+def classification_json_oracle(classification):
+    """Classification.to_json_list() built class by class with nothing shared:
+    format_value for every representative entry and mask_to_bits for every cut."""
+    report = []
+    for cls in classification.classes:
+        sig, rep = cls.signature, cls.representative
+        m = sig.order * sig.order
+        signature = {
+            "n": sig.order,
+            "k": len(sig.masks) - 1,
+            "cuts": [mask_to_bits(mask, m) for mask in sig.masks],
+            "o_rooted": sig.masks[0] == 0,
+            "j_rooted": sig.masks[-1] == (1 << m) - 1,
+        }
+        entries = [[format_value(v) for v in row] for row in rep.entries]
+        representative = {"n": rep.order, "entries": entries}
+        report.append(
+            {"signature": signature, "representative": representative, "members": list(cls.members)}
+        )
+    return report
+
+
+def counted_format_value(monkeypatch):
+    """Count format_value's calls by value, wherever the package makes them."""
+    calls = Counter()
+
+    def counted(value):
+        calls[value] += 1
+        return format_value(value)
+
+    monkeypatch.setattr("cutchains.matrices.format_value", counted)
+    monkeypatch.setattr("cutchains.cuts.format_value", counted)
+    return calls
 
 
 def check_cuts_oracle(order, masks):
@@ -382,6 +418,21 @@ def corpora(draw, max_order=3):
     corpus = draw(st.lists(st.one_of(matrix_of_order(n), near), min_size=1, max_size=8))
     picks = draw(st.lists(st.sampled_from(corpus), max_size=4))
     return corpus + [order_preserving_remap(f) for f in picks]
+
+
+# Spellings of a few values, most of them more than once; "0" and "1" make
+# all-zero and all-one members, and a member with no 1 has the empty cut.
+SPELLINGS = ("0", "1", "0.5", "1/2", "0.50", "2/4", "1/4", "0.25", "0.750", "3/4", "1/3", "2/6")
+
+
+@st.composite
+def spelled_corpora(draw, max_order=3):
+    """Nonempty same-order corpora as grids of value texts: matrices over
+    SPELLINGS, then the all-zero and the all-one matrix."""
+    n = draw(st.integers(min_value=0, max_value=max_order))
+    rows = st.lists(st.sampled_from(SPELLINGS), min_size=n, max_size=n)
+    grids = draw(st.lists(st.lists(rows, min_size=n, max_size=n), min_size=1, max_size=8))
+    return grids + [[[text] * n for _ in range(n)] for text in ("0", "1")]
 
 
 def matrix_pairs(max_order=3):

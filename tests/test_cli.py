@@ -10,6 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import cutchains
 from cutchains import cli, cuts
@@ -21,7 +22,13 @@ from cutchains.cli import (
     _json_array_chunks,
     main,
 )
-from helpers import STDERR_BYTE_BOUND, chain_line, table_json_oracle
+from helpers import (
+    STDERR_BYTE_BOUND,
+    chain_line,
+    counted_format_value,
+    spelled_corpora,
+    table_json_oracle,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -870,6 +877,28 @@ class TestGoldenBytes:
         assert (members, classes) == (11, 8)  # some classes hold several members
         # each member is ranked to group it, each representative to re-check its class
         assert calls == {"_rank_pattern": members + classes, "_cut_masks": classes}
+
+    def test_classify_formats_each_distinct_value_once_per_run(self, capsys, monkeypatch):
+        result = cuts.classify_corpus(map(cutchains.FuzzyMatrix.parse_text, self.blocks()))
+        distinct = {v for cls in result.classes for v in cls.representative.values()}
+        calls = counted_format_value(monkeypatch)
+        for runs in (1, 2):
+            code, out, _ = run_cli(capsys, "classify", "--input", str(DATA / "golden_corpus.txt"))
+            assert code == 0 and out == self.CLASSIFY
+            assert dict(calls) == dict.fromkeys(distinct, runs)
+
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spelled_corpora())
+    def test_classify_output_is_to_json_list(self, capsys, tmp_path, grids):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([{"n": len(grid), "entries": grid} for grid in grids]))
+        result = cuts.classify_corpus(map(cutchains.FuzzyMatrix.from_rows, grids))
+        target = tmp_path / "classes.json"
+        code, out, _ = run_cli(
+            capsys, "classify", "--input", str(corpus), "--output", str(target)
+        )
+        assert (code, out) == (0, "")
+        assert target.read_text() == json.dumps(result.to_json_list(), indent=2) + "\n"
 
     @pytest.mark.parametrize("items", [[], [{}], [{"a": [1, {"b": []}]}, "x\ny", [[]]]])
     def test_streamed_report_matches_json_dumps(self, items):

@@ -14,7 +14,9 @@ from cutchains import cuts
 from cutchains.matrices import MAX_DIGITS
 from helpers import (
     check_cuts_oracle,
+    classification_json_oracle,
     corpora,
+    counted_format_value,
     cut_tuples,
     equivalent_pairwise,
     fuzzy_complement,
@@ -29,6 +31,7 @@ from helpers import (
     random_matrix,
     rank_pattern_oracle,
     shares_a_float,
+    spelled_corpora,
 )
 
 F = Fraction
@@ -116,6 +119,8 @@ class TestSignature:
         sig = cc.signature(FuzzyMatrix(0, ()))
         assert sig.cuts == (CrispMatrix.zeros(0),)
         assert sig.o_rooted and sig.j_rooted
+        # the one cut of order 0 is empty, though format(0, "00b") is "0"
+        assert cc.ChainSignature(0, (0,)).to_json_dict()["cuts"] == [""]
 
     def test_k_level_examples(self):
         assert cc.k_level(M(["0", "1"], ["1", "0"])) == 0
@@ -396,6 +401,40 @@ class TestClassification:
                 "members": [0, 1],
             }
         ]
+
+
+class TestReportText:
+    """to_json_list writes what format_value per entry and mask_to_bits per cut
+    write, and formats each distinct value once per call."""
+
+    spelled = spelled_corpora().map(lambda grids: [FuzzyMatrix.from_rows(g) for g in grids])
+
+    @given(st.one_of(corpora(), spelled))
+    def test_report_matches_per_entry_oracle(self, corpus):
+        result = cc.classify_corpus(corpus)
+        want = json.dumps(classification_json_oracle(result), indent=2)
+        assert json.dumps(result.to_json_list(), indent=2) == want
+        assert json.dumps([cls.to_json_dict() for cls in result.classes], indent=2) == want
+
+    def test_each_distinct_value_formatted_once_per_call(self, monkeypatch):
+        corpus = [
+            M(["0.5", "1/2"], ["0.50", "0"]),  # one value in three spellings
+            M(["0.2", "0.4"], ["0.6", "0.8"]),
+            M(["0.8", "0.6"], ["0.4", "0.2"]),  # another class of the same k
+            M(["0", "0"], ["0", "0"]),
+            M(["1", "1"], ["1", "1"]),
+            M(["1/3", "0.6"], ["0", "1"]),
+        ]
+        result = cc.classify_corpus(corpus)
+        distinct = {v for cls in result.classes for v in cls.representative.values()}
+        entries = sum(len(list(cls.representative.values())) for cls in result.classes)
+        assert (len(result), len(distinct), entries) == (6, 9, 24)
+        calls = counted_format_value(monkeypatch)
+        report = result.to_json_list()
+        assert dict(calls) == dict.fromkeys(distinct, 1)
+        # nothing is kept between calls: a second report formats every value again
+        assert result.to_json_list() == report
+        assert dict(calls) == dict.fromkeys(distinct, 2)
 
 
 class TestMasksEndToEnd:
