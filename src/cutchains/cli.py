@@ -1,7 +1,8 @@
 """Command-line interface: counting, enumeration, classification, lattice export.
 
 Exit codes: 0 success (or "equivalent"), 1 inequivalent, 2 usage error,
-3 infeasible job, 4 malformed input file.
+3 infeasible job, 4 malformed input file.  A job is sized before it runs: a
+count by counting's rules under MAX_DIGITS and NAIVE_MAX_CELLS.
 
 Each command imports only the library modules it calls, when it runs:
 counting for count, table and sequence; enumeration (and with it counting) for
@@ -14,12 +15,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .matrices import MAX_DIGITS, FuzzyMatrix, InfeasibleJobError
+from .matrices import MAX_DIGITS, FuzzyMatrix, InfeasibleJobError, _int_text
 
 if TYPE_CHECKING:
     from .cuts import Classification
@@ -55,8 +55,9 @@ NAIVE_MAX_CELLS = 256
 # classifies the one-member corpus of its matrix.  An order-56 matrix of 3,136
 # distinct values (9.8 million cells) takes `signature` 0.15-0.20 s and 46 MiB
 # peak RSS for 9.8 MB of output.  The input with the most cells, a 4 MiB
-# order-1448 0/1 text matrix, takes `signature` 3.6 s and 258 MiB, and
-# `classify` 4.2 s and 372 MiB (Python 3.11, one process).
+# order-1448 0/1 text matrix, takes `signature` 2.1-2.3 s and `classify`
+# 2.9-3.0 s, each 258 MiB peak RSS (three alternating runs of each, Python
+# 3.11, one process).
 MAX_SIGNATURE_CELLS = 10**7
 
 
@@ -206,59 +207,37 @@ def _load_corpus(path: str, fmt: str) -> list[FuzzyMatrix]:
     return _read_input(path, fmt, "corpus", _corpus_from_json, _corpus_from_text)
 
 
-def _check_count_job(m: int, method: str, k: int | None = None, root: str | None = None) -> None:
-    """Refuse, before counting, a job too slow to count or too long to print.
-
-    A k outside 0..m counts no chain under every method, so it is never
-    refused.  Nested summation is refused above NAIVE_MAX_CELLS.
-
-    A count is printed only up to MAX_DIGITS digits.  A total is bounded
-    without computing it: it is at most 4*Fubini(m), where
-    Fubini(m) = sum_j j^m / 2^(j+1) < m!/ln(2)^(m+1).  A per-k count is
-    refused here when a lower bound on it, k! * slots^(m-k), is already too
-    long; otherwise it is computed, and _cmd_count checks its length.
-    """
+def _check_count_job(m: int, method: str, k: int | None = None) -> None:
+    """Refuse a job too slow for its method, or a total that may be too long to
+    print.  No k outside 0..m is refused: it counts no chain by any method."""
     from . import counting
 
     if k is not None and not 0 <= k <= m:
         return
     if counting._pick_method(method) == "naive" and m > NAIVE_MAX_CELLS:
         raise InfeasibleJobError(
-            f"nested summation over m={m} cells is above its limit of {NAIVE_MAX_CELLS} cells"
+            f"nested summation over m={_int_text(m)} cells is above its limit of "
+            f"{NAIVE_MAX_CELLS} cells"
         )
     if k is None:
-        ln_bound = math.log(4) + math.lgamma(m + 1) - (m + 1) * math.log(math.log(2))
-        size = "may have"
-    else:
-        # the factor 1 - 1e-12 keeps float error from rounding the bound's digits up
-        ln_bound = counting._ln_chains_at_least(m, k, root) * (1 - 1e-12)
-        size = "has at least"
-    digits = int(ln_bound / math.log(10)) + 1
-    if digits > MAX_DIGITS:
-        raise InfeasibleJobError(
-            f"a count over m={m} cells {size} {digits} digits, "
-            f"above the limit of {MAX_DIGITS} for printing an integer"
-        )
+        counting._check_total_digits(m, MAX_DIGITS)
 
 
 def _cmd_count(args) -> int:
     from . import counting
 
     m = args.n * args.n
-    _check_count_job(m, args.method, args.k, args.root)
+    _check_count_job(m, args.method, args.k)
     if args.k is None:
         value = counting.total_count(args.n, args.root, method=args.method)
-    elif counting._pick_method(args.method) == "ie":
-        value = counting.chain_count_ie(m, args.k, args.root)
-    elif args.root is None:
-        value = counting.chain_count(m, args.k)
     else:
-        value = counting.chain_count_rooted(m, args.k, args.root)
-    if value >= 10**MAX_DIGITS:  # a per-k count within its lower bound, but too long
-        raise InfeasibleJobError(
-            f"a count over m={m} cells has more than {MAX_DIGITS} digits, "
-            f"above the limit of {MAX_DIGITS} for printing an integer"
-        )
+        limit = f"the limit of {MAX_DIGITS} digits for printing an integer"
+        value = counting._count_within(m, args.k, args.root, 10**MAX_DIGITS - 1, limit)
+        if counting._pick_method(args.method) == "naive":
+            if args.root is None:
+                value = counting.chain_count(m, args.k)
+            else:
+                value = counting.chain_count_rooted(m, args.k, args.root)
     _emit(f"{value}\n", None)
     return EXIT_OK
 

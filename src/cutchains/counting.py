@@ -25,11 +25,11 @@ come from math.comb, and no table outlives the call that builds it.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb, factorial, isqrt, lgamma, log
+from math import comb, factorial, isqrt, lgamma, log, log2
 from operator import add
 from typing import Iterator, Literal
 
-from .matrices import _Value
+from .matrices import InfeasibleJobError, _int_text, _Value
 
 __all__ = [
     "CountRow",
@@ -203,12 +203,68 @@ def chain_count_ie(m: int, k: int, root: Root | None = None) -> int:
     return total
 
 
+# Largest job size, as (k+1) * m * log2(k+2), about the bits of the k+1 powers
+# that chain_count_ie multiplies out, whose exact count _count_within computes
+# before checking it against its limit: at 10^6 that takes at most about 15 ms,
+# and chain_count_ie(3000, 3000), at 10^8, 0.8 s (Python 3.11, one process).  A
+# larger job is refused in O(1) when a lower bound on its size exceeds the limit.
+_EXACT_PROJECTION_BITS = 10**6
+
+# Most cells whose bounds are evaluated in floats, into which m then converts
+# exactly.  Past it, every job but a rooted k = 0 one (one chain) has at least
+# 2^(m//2) chains: for k <= m/2, each of the m-k >= m/2 other cells takes one
+# of at least 2 slots, and otherwise k! >= (m/2)! >= 2^(m/2).
+_FLOAT_CELLS = 2**52
+
+
 def _ln_chains_at_least(m: int, k: int, root: Root | None) -> float:
     """The natural log of k! * slots^(m-k), a lower bound on chain_count_ie(m, k,
     root) for 0 <= k <= m, in O(1): k fixed cells enter one per step in any
     order, and each other cell takes any of the k+2 slots (k+1 rooted)."""
     slots = k + 2 if root is None else k + 1
     return lgamma(k + 1) + (m - k) * log(slots)
+
+
+def _count_within(m: int, k: int, root: Root | None, limit: int, limit_text: str) -> int:
+    """chain_count_ie(m, k, root) if at most limit, else InfeasibleJobError naming
+    limit_text; where that is slow to compute, a lower bound may refuse first."""
+    bits = -1
+    if 0 <= k <= m and (
+        m > _EXACT_PROJECTION_BITS or (k + 1) * m * log2(k + 2) > _EXACT_PROJECTION_BITS
+    ):
+        if m <= _FLOAT_CELLS:
+            # the factor 1 - 1e-12 keeps float error from rounding bits above
+            # the exact bit_length() - 1
+            bits = int(_ln_chains_at_least(m, k, root) / log(2) * (1 - 1e-12))
+        elif root is None or k > 0:
+            bits = m // 2
+    if bits >= limit.bit_length():
+        size = f"at least 2^{_int_text(bits)}"
+    else:
+        count = chain_count_ie(m, k, root)  # rejects a negative m
+        if count <= limit:
+            return count
+        # past a 64-bit count, the digits make a long line or exceed what str() prints
+        bits = count.bit_length()
+        size = f"{count}" if bits <= 64 else f"at least 2^{bits - 1}"
+    raise InfeasibleJobError(
+        f"projected {size} chains for m={_int_text(m)}, k={_int_text(k)} exceeds {limit_text}"
+    )
+
+
+def _check_total_digits(m: int, max_digits: int) -> None:
+    """Refuse a total over m cells that may have more than max_digits digits: it
+    is at most 4*Fubini(m), and Fubini(m) = sum_j j^m/2^(j+1) < m!/ln(2)^(m+1)."""
+    if m > _FLOAT_CELLS:
+        # m! < 2^(m*L) with L = m.bit_length(), and 1/ln(2) < 2: below 2^(m*(L+1)+3)
+        digits = (m * (m.bit_length() + 1) + 3) // 3 + 1
+    else:
+        digits = int((log(4) + lgamma(m + 1) - (m + 1) * log(log(2))) / log(10)) + 1
+    if digits > max_digits:
+        raise InfeasibleJobError(
+            f"a count over m={_int_text(m)} cells may have {_int_text(digits)} digits, "
+            f"above the limit of {max_digits} for printing an integer"
+        )
 
 
 def _ie_rows(max_m: int, root: Root | None) -> Iterator[list[int]]:

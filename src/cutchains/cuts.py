@@ -52,10 +52,11 @@ __all__ = [
 # cut is built in time linear in its cells: one bit per cell in a bytearray,
 # and one str.find per set bit over the cut's bitstring.  On one order-1448
 # 0/1 matrix (2,096,704 cells) the per-cell loops took the CLI's `signature`
-# 113 s and `classify` 258 s; the linear paths take them 3.6 s and 4.2 s
-# (Python 3.11, one process).  At the benchmark's orders 4 and 6, and on an
-# order-56 matrix of 3,136 distinct values, the per-cell loops are the faster;
-# the tests take them as the oracle for the linear paths.
+# 113 s and `classify` 258 s; the linear paths take them 2.1-2.3 s and
+# 2.9-3.0 s (three alternating runs of each, Python 3.11, one process).  At
+# the benchmark's orders 4 and 6, and on an order-56 matrix of 3,136 distinct
+# values, the per-cell loops are the faster; the tests take them as the oracle
+# for the linear paths.
 _BIT_LOOP_CELLS = 4096
 
 

@@ -6,14 +6,13 @@ Chains are found by a serial walk that recurses on the next strictly larger
 support, pruning branches that cannot reach the requested length.  A J-rooted
 chain of k >= 1 steps is walked as k-1 free steps whose last support leaves at
 least one cell out, followed by the full support.  Each job is sized before its
-first chain is drawn and refused above the caller's chain ceiling: by the exact
-closed-form count (rooted or not), or, where that count would take long to
-compute, by counting's O(1) lower bound that already exceeds the ceiling.  A
-refused job raises InfeasibleJobError, which matrices defines and this module
-re-exports.  One walk (_walk) streams the chains, each grown from its parent's
-prefix: enumerate_chains as tuples of masks (_chain_tuples), and chain_lines as
-listing lines, each line its parent's text plus one support.  So a listing
-streams in constant memory; chain_lines formats each support once per listing,
+first chain is drawn, by counting's one rule for a per-k job, and refused above
+the caller's chain ceiling or WALK_MAX_CELLS cells.  A refused job raises
+InfeasibleJobError, which matrices defines and this module re-exports.  One
+walk (_walk) streams the chains, each grown from its parent's prefix:
+enumerate_chains as tuples of masks (_chain_tuples), and chain_lines as listing
+lines, each line its parent's text plus one support.  So a listing streams in
+constant memory; chain_lines formats each support once per listing,
 through a memo of at most LISTING_MEMO_SIZE supports that is dropped with the
 listing; up to LABELLER_MAX_CELLS cells, a label the memo misses is read from
 _labeller's tables.  Two counting walks take the same walk without building the
@@ -27,13 +26,13 @@ half-width cell text (_labeller).
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .counting import _check_root, _ln_chains_at_least, chain_count_ie
-from .matrices import InfeasibleJobError, _Value, mask_to_bits
+# chain_count_ie stays bound here, where cutbench/run.py wraps it by name
+from .counting import _check_root, _count_within, chain_count_ie
+from .matrices import InfeasibleJobError, _int_text, _Value, mask_to_bits
 
 __all__ = [
     "ChainRecord",
@@ -65,12 +64,11 @@ LISTING_MEMO_SIZE = 1 << 12
 # still take 2^(m/2) strings, so each support is labelled by support_label.
 LABELLER_MAX_CELLS = 24
 
-# Largest job size, as (k+1) * m * log2(k+2), about the bits of the k+1 powers
-# that chain_count_ie multiplies out, whose exact projection is computed before
-# the ceiling is checked: at 10^6 that takes at most about 15 ms, and
-# chain_count_ie(3000, 3000), at 10^8, 0.8 s (Python 3.11, one process).  A
-# larger job is refused in O(1) when a lower bound on its size exceeds the ceiling.
-_EXACT_PROJECTION_BITS = 10**6
+# Most cells of a walk: each support is an m-bit int, and a listing line holds
+# m characters per support.  From m = 14,286 on, every job but a rooted k = 0
+# one (a single chain) has more than 10^4300 chains, more than any CLI ceiling,
+# so only single chains meet this bound.
+WALK_MAX_CELLS = 1 << 20
 
 _T = TypeVar("_T")
 
@@ -121,8 +119,9 @@ def enumerate_supports(m: int) -> Iterator[int]:
     if m < 0:
         raise ValueError(f"cell count must be nonnegative, got {m}")
     if m > DEFAULT_SUPPORT_CAP:
+        cells = _int_text(m)
         raise InfeasibleJobError(
-            f"{m} cells means 2^{m} supports; the cap is {DEFAULT_SUPPORT_CAP}"
+            f"{cells} cells means 2^{cells} supports; the cap is {DEFAULT_SUPPORT_CAP}"
         )
     return iter(range(1 << m))
 
@@ -152,37 +151,27 @@ def _check_job(m: int, k: int, root: str | None, ceiling: int) -> None:
         raise ValueError(f"the chain ceiling must be nonnegative, got {ceiling}")
     if root is not None:
         _check_root(root)
-    if 0 <= k <= m and (k + 1) * m * math.log2(k + 2) > _EXACT_PROJECTION_BITS:
-        # the factor 1 - 1e-12 keeps float error from rounding bits above the
-        # exact bit_length() - 1
-        bits = int(_ln_chains_at_least(m, k, root) / math.log(2) * (1 - 1e-12))
-        if bits >= ceiling.bit_length():
-            raise InfeasibleJobError(
-                f"projected at least 2^{bits} chains for m={m}, k={k} exceeds the ceiling {ceiling}"
-            )
-    projected = chain_count_ie(m, k, root)  # rejects a negative m
-    if projected > ceiling:
-        # past a 64-bit count, the digits make a long line or exceed what str() prints
-        bits = projected.bit_length()
-        size = f"{projected}" if bits <= 64 else f"at least 2^{bits - 1}"
+    _count_within(m, k, root, ceiling, f"the ceiling {_int_text(ceiling)}")
+    if m > WALK_MAX_CELLS and 0 <= k <= m:
         raise InfeasibleJobError(
-            f"projected {size} chains for m={m}, k={k} exceeds the ceiling {ceiling}"
+            f"a chain walk over m={_int_text(m)} cells is above its limit of {WALK_MAX_CELLS} cells"
         )
 
 
-def _first_supports(m: int, k: int, root: str | None) -> Iterator[int]:
-    """The supports a chain of k steps may start from, in ascending order: none
-    when k is outside 0..m."""
-    full = (1 << m) - 1
+def _first_supports(m: int, k: int, root: str | None) -> tuple[int, Iterator[int]]:
+    """The full support over m cells and the supports a chain of k steps may
+    start from, in ascending order: none, and no full support made, when k is
+    outside 0..m."""
     if not 0 <= k <= m:
-        firsts: Iterable[int] = ()
-    elif root == "O":
-        firsts = (0,)
+        return 0, iter(())
+    full = (1 << m) - 1
+    if root == "O":
+        firsts: Iterable[int] = (0,)
     elif root == "J" and k == 0:
         firsts = (full,)
     else:
         firsts = range(full + 1)
-    return (first for first in firsts if m - first.bit_count() >= k)
+    return full, (first for first in firsts if m - first.bit_count() >= k)
 
 
 def _walk(
@@ -195,7 +184,7 @@ def _walk(
     """Every chain of k steps, in lexicographic order, as start(first) grown by
     step(prefix, support) one support at a time.  A J-rooted chain of k >= 1
     steps is k-1 free steps, the last leaving a cell out, then the full support."""
-    full = (1 << m) - 1
+    full, firsts = _first_supports(m, k, root)
     j_tail = root == "J" and k > 0
 
     def extend(last: int, steps: int, prefix: _T) -> Iterator[_T]:
@@ -223,7 +212,7 @@ def _walk(
             if m - nxt.bit_count() >= room:
                 yield from extend(nxt, steps - 1, step(prefix, nxt))
 
-    for first in _first_supports(m, k, root):
+    for first in firsts:
         yield from extend(first, k - j_tail, start(first))
 
 
@@ -235,7 +224,7 @@ def _chain_tuples(m: int, k: int, root: str | None) -> Iterator[tuple[int, ...]]
 def _count_walk(m: int, k: int, root: str | None) -> int:
     """The number of chains _walk yields, found by the same walk, the last free
     component at a time, without building the chains."""
-    full = (1 << m) - 1
+    full, firsts = _first_supports(m, k, root)
     j_tail = root == "J" and k > 0
 
     def count(last: int, steps: int) -> int:
@@ -260,13 +249,13 @@ def _count_walk(m: int, k: int, root: str | None) -> int:
             if m - nxt.bit_count() >= room:
                 n += count(nxt, steps - 1)
 
-    return sum(count(first, k - j_tail) for first in _first_supports(m, k, root))
+    return sum(count(first, k - j_tail) for first in firsts)
 
 
 def _group_walk(m: int, k: int, root: str | None) -> Counter:
     """The chains _walk yields, counted by size vector, found by the same walk
     with the running sizes in place of the components."""
-    full = (1 << m) - 1
+    full, firsts = _first_supports(m, k, root)
     j_tail = root == "J" and k > 0
     tail = (m,) * j_tail
     grouped: Counter = Counter()
@@ -299,7 +288,7 @@ def _group_walk(m: int, k: int, root: str | None) -> Counter:
             if m - size >= room:
                 walk(nxt, steps - 1, sizes + (size,))
 
-    for first in _first_supports(m, k, root):
+    for first in firsts:
         walk(first, k - j_tail, (first.bit_count(),))
     return grouped
 

@@ -145,6 +145,13 @@ class InfeasibleJobError(Exception):
     """Raised when a job's projected size exceeds its ceiling or limit."""
 
 
+def _int_text(value: int) -> str:
+    """An integer as a refusal line states it: in decimal below 2^64, else by
+    its bit length, so the line stays short and within the digit limit."""
+    bits = value.bit_length()
+    return f"{value}" if bits <= 64 else f"<{bits}-bit integer>"
+
+
 class _Value:
     """Base of the frozen value classes: each subclass lists its fields as
     __slots__ and sets them in its own __init__ with object.__setattr__.

@@ -17,8 +17,10 @@ from cutchains import CrispMatrix, FuzzyMatrix, format_value, mask_to_bits, supp
 from cutchains.matrices import MAX_DIGITS
 
 
-# The most bytes of the one stderr line of a CLI run on a malformed input file:
-# its error repeats at most a short prefix of any value, beside the file's path.
+# The most bytes of the one stderr line of a CLI run on a malformed input file,
+# whose error repeats at most a short prefix of any value beside the file's
+# path, or of a refused job, whose line states each large integer by its bit
+# length.
 STDERR_BYTE_BOUND = 1024
 
 

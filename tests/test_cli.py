@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import cutchains
-from cutchains import cli, cuts
+from cutchains import cli, cuts, enumeration
 from cutchains.cli import (
     MAX_DIGITS,
     MAX_INPUT_BYTES,
@@ -146,9 +146,10 @@ class TestPrintLimit:
         code, out, err = run_cli(capsys, "count", "--n", "39", "--k", "1000", *root)
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
+        bits = cutchains.chain_count_ie(1521, 1000, root[1] if root else None).bit_length() - 1
         assert err == (
-            f"infeasible job: a count over m=1521 cells has more than {MAX_DIGITS} digits, "
-            f"above the limit of {MAX_DIGITS} for printing an integer\n"
+            f"infeasible job: projected at least 2^{bits} chains for m=1521, k=1000 exceeds "
+            f"the limit of {MAX_DIGITS} digits for printing an integer\n"
         )
 
     def test_independent_of_the_interpreter_limit(self, capsys):
@@ -257,6 +258,73 @@ class TestNaiveLimit:
         assert NAIVE_MAX_CELLS == 16 * 16
         _, ie, _ = run_cli(capsys, "count", "--n", "16", "--method", "ie")
         assert run_cli(capsys, "count", "--n", "16", "--method", "naive") == (0, ie, "")
+
+
+class TestSizesAtTheDigitLimit:
+    """Size arguments of up to MAX_DIGITS digits are sized in integers: no bound
+    makes a float of them, and a refusal line states each large integer by its
+    bit length."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--n", str(10**153)],
+            ["table", "--max-n", str(10**153)],
+            ["sequence", "--max-n", str(10**154)],
+            ["count", "--n", str(10**155), "--k", "1"],
+            ["count", "--n", str(10**3999), "--method", "naive"],
+            ["count", "--n", str(10**3999), "--k", str(10**3999)],
+            ["enumerate", "--m", str(10**308), "--k", "1"],
+            ["enumerate", "--m", str(10**200), "--k", str(10**150)],
+            ["enumerate", "--m", "20000", "--k", "1", "--ceiling", "9" * MAX_DIGITS],
+            ["enumerate", "--m", str(10**308), "--k", "0", "--root", "O"],
+            ["enumerate", "--m", "100000000", "--k", "0", "--root", "J", "--list"],
+            ["lattice", "--m", str(10**4199)],
+        ],
+    )
+    def test_refused_at_once_in_one_short_line(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("infeasible job:") and err.count("\n") == 1
+        assert len(err.encode()) < STDERR_BYTE_BOUND
+
+    def test_large_integers_stated_by_bit_length(self, capsys):
+        m = 10**308
+        assert run_cli(capsys, "enumerate", "--m", str(m), "--k", "0", "--root", "O") == (
+            3,
+            "",
+            "infeasible job: a chain walk over m=<1024-bit integer> cells is above its "
+            "limit of 1048576 cells\n",
+        )
+        argv = ["enumerate", "--m", "100", "--k", "1", "--ceiling", str(2**64)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3 and err.endswith(" exceeds the ceiling <65-bit integer>\n")
+        code, _, err = run_cli(capsys, "lattice", "--m", str(m))
+        assert code == 3 and err == (
+            "infeasible job: <1024-bit integer> cells means 2^<1024-bit integer> supports; "
+            "the cap is 16\n"
+        )
+
+    @pytest.mark.parametrize("root", ["O", "J"])
+    def test_rooted_single_chain_counted(self, capsys, root):
+        # the one chain of the empty or the full support, whatever m
+        argv = ["count", "--n", "9" * 4000, "--k", "0", "--root", root]
+        assert run_cli(capsys, *argv) == (0, "1\n", "")
+
+    @pytest.mark.parametrize("k", [str(10**4000), "-1"])
+    def test_walk_of_no_chain_served(self, capsys, k):
+        assert run_cli(capsys, "enumerate", "--m", str(10**3999), "--k", k) == (0, "0\n", "")
+
+    def test_walk_cells_bounded(self, capsys):
+        # the only walks within a ceiling past the cell bound are single chains
+        assert enumeration.WALK_MAX_CELLS == 1 << 20
+        argv = ["enumerate", "--k", "0", "--root", "J", "--list"]
+        code, out, _ = run_cli(capsys, *argv, "--m", str(1 << 20))
+        assert code == 0 and out == "1" * (1 << 20) + "\n"
+        code, out, err = run_cli(capsys, *argv, "--m", str((1 << 20) + 1))
+        assert (code, out) == (3, "") and "chain walk" in err
 
 
 class TestSignatureLimit:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import cutchains as cc
 from cutchains import InfeasibleJobError, enumeration
+from cutchains.cli import main
+from cutchains.matrices import MAX_DIGITS
 from helpers import (
     bits_to_set,
     brute_force_chains,
@@ -244,9 +246,9 @@ class TestFeasibilityCeiling:
         exact = math.factorial(12_000).bit_length() - 1
         assert exact - 1 <= bits <= exact
 
-    def test_lower_bound_never_above_exact(self, monkeypatch):
+    def test_lower_bound_never_above_exact(self, monkeypatch, capsys):
         # every job takes the bound; a ceiling of 0 refuses each by it
-        monkeypatch.setattr(enumeration, "_EXACT_PROJECTION_BITS", -1)
+        monkeypatch.setattr(cc.counting, "_EXACT_PROJECTION_BITS", -1)
         for m in range(0, 200, 3):
             for k in sorted({0, 1, 2, 3, m // 3, m // 2, m - 1, m} & set(range(m + 1))):
                 for root in (None, "O", "J"):
@@ -257,6 +259,45 @@ class TestFeasibilityCeiling:
                     assert bits <= exact
                     if k == m:
                         assert bits >= exact - 1
+        # `count --k` takes the same rule under the print limit: a job its bound
+        # refuses is too long to print, and any other is counted exactly
+        served = refused = 0
+        for n in (38, 39):
+            m = n * n
+            for k in (0, 1, 40, m // 2, m):
+                for root in (None, "O", "J"):
+                    exact = cc.chain_count_ie(m, k, root)
+                    rooted = ["--root", root] if root else []
+                    code = main(["count", "--n", str(n), "--k", str(k), *rooted])
+                    out, err = capsys.readouterr()
+                    if code == 0:
+                        assert int(out) == exact
+                        served += 1
+                        continue
+                    bits = int(re.search(r"2\^(\d+)", err).group(1))
+                    assert code == 3 and exact >= 10**MAX_DIGITS
+                    assert bits <= exact.bit_length() - 1
+                    refused += 1
+        assert served and refused
+
+    @pytest.mark.parametrize(
+        "job",
+        [
+            lambda: cc.count_chains(10**400, 1),
+            lambda: cc.group_by_size_vector(10**400, 2),
+            lambda: cc.chain_lines(10**400, 1),
+            lambda: cc.enumerate_chains(10**400, 10**399, "J"),
+            lambda: cc.count_chains(10**400, 0, "O"),  # one chain, over the cell bound
+        ],
+    )
+    def test_job_past_any_float_refused(self, job):
+        with pytest.raises(InfeasibleJobError):
+            job()
+
+    def test_empty_job_past_the_cell_bound_walks_nothing(self):
+        assert cc.count_chains(10**400, 10**401) == 0
+        assert cc.group_by_size_vector(10**400, -1, "O") == {}
+        assert list(cc.chain_lines(10**400, -1)) == []
 
     def test_bound_checks_root_first(self):
         with pytest.raises(ValueError, match="root"):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from cutchains import FuzzyMatrix, parse_value
 from cutchains.cli import EXIT_INFEASIBLE, EXIT_MALFORMED, EXIT_USAGE, main
+from cutchains.matrices import MAX_DIGITS
 from helpers import STDERR_BYTE_BOUND
 
 # Generous for the tiny inputs drawn here; an unbounded parse takes far longer.
@@ -122,6 +123,7 @@ def _run(argv, allowed=(0, 1, EXIT_MALFORMED), wall_bound_s=WALL_BOUND_S):
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
     if code == EXIT_INFEASIBLE:
         assert len(lines) == 1 and lines[0].startswith("infeasible job: "), lines
+        assert len(err.getvalue().encode()) < STDERR_BYTE_BOUND, lines
 
 
 @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -145,9 +147,11 @@ def test_cli_on_arbitrary_files_ends_in_documented_exit(tmp_path, first, second)
 # accepted and cheap: nested summation to n = 8, or to n = 16 for k <= 3;
 # closed-form tables, one row sweep each, to n = 34; totals and sequences by
 # the closed form to the digit limit's n = 38; enumeration under a ceiling of
-# at most 10^5 chains.  The explicit examples sit on both sides of each
-# refusal boundary; the slowest of them, `table --max-n 34 --format json`,
-# takes about 2 s.
+# at most 10^5 chains, or of up to MAX_DIGITS digits over at most 6 cells;
+# jobs of no chain; and single chains.  Sizes of up to MAX_DIGITS digits, as
+# many as an argument may have, reach every bound far past any float.  The
+# explicit examples sit on both sides of each refusal boundary; the slowest
+# of them, `table --max-n 34 --format json`, takes about 2 s.
 INTEGER_WALL_BOUND_S = 5.0
 INTEGER_EXIT_CODES = (0, EXIT_USAGE, EXIT_INFEASIBLE)
 
@@ -171,6 +175,14 @@ fast = st.sampled_from([[], ["--method", "auto"], ["--method", "ie"]])
 any_method = st.one_of(naive, fast)
 huge = st.integers(39, 10**4)
 
+
+def digits(fewest):
+    """Integers of fewest to MAX_DIGITS decimal digits."""
+    return st.integers(fewest, MAX_DIGITS).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1))
+
+
+signed = st.tuples(st.sampled_from([1, -1]), digits(1)).map(lambda sv: sv[0] * sv[1])
+
 count_argv = st.one_of(
     _cat(st.just(["count"]), _arg("--n", st.integers(-2, 8)), _opt("--k", st.integers(-3, 70)),
          roots, any_method),
@@ -185,6 +197,12 @@ count_argv = st.one_of(
     ),
     _cat(st.just(["count"]), _arg("--n", huge), _opt("--k", st.integers(-2, 3)), roots,
          any_method),
+    # orders of up to MAX_DIGITS digits: each per-k count is cheap to compute
+    # or refused by its lower bound, and nested summation is refused past 256
+    # cells but for a k outside 0..m
+    _cat(st.just(["count"]), _arg("--n", digits(2)),
+         _opt("--k", st.one_of(st.integers(-2, 3), signed)), roots, fast),
+    _cat(st.just(["count"]), _arg("--n", digits(3)), _opt("--k", signed), roots, naive),
 )
 
 
@@ -197,6 +215,7 @@ def _max_n(command):
         sized(st.integers(10, 34), fast),
         sized(st.integers(17, 10**4), naive),
         sized(huge, fast),
+        sized(digits(3), any_method),
     )
 
 
@@ -210,13 +229,23 @@ table_argv = st.one_of(
 # mostly orders small enough to enumerate, the rest up to 10^6 cells, whose
 # costly projections are refused by a lower bound without exact arithmetic
 cells = st.one_of(st.integers(-3, 12), st.integers(-3, 2000), st.integers(-3, 10**6))
-enumerate_argv = _cat(
-    st.just(["enumerate"]), _arg("--m", cells), _arg("--k", cells), roots,
-    st.sets(st.sampled_from(["--list", "--labels", "--group-by-sizes"])).map(sorted),
-    _arg("--ceiling", st.integers(-3, 10**5)),
+enumerate_flags = st.sets(st.sampled_from(["--list", "--labels", "--group-by-sizes"])).map(sorted)
+enumerate_argv = st.one_of(
+    _cat(
+        st.just(["enumerate"]), _arg("--m", cells), _arg("--k", cells), roots, enumerate_flags,
+        _arg("--ceiling", st.integers(-3, 10**5)),
+    ),
+    # any ceiling: from 10^5 cells on, every job of a chain or more but a single
+    # chain has more than 10^4300 chains
+    _cat(
+        st.just(["enumerate"]), _arg("--m", st.one_of(st.integers(-3, 6), digits(6))),
+        _arg("--k", st.one_of(st.integers(-3, 8), signed)), roots, enumerate_flags,
+        _opt("--ceiling", st.one_of(st.integers(-3, 10**5), digits(1))),
+    ),
 )
 lattice_argv = _cat(
-    st.just(["lattice"]), _arg("--m", st.one_of(st.integers(-3, 12), st.integers(17, 10**6))),
+    st.just(["lattice"]),
+    _arg("--m", st.one_of(st.integers(-3, 12), st.integers(17, 10**6), digits(3))),
     st.sampled_from([[], ["--format", "dot"], ["--format", "json"]]),
 )
 
