@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or "equivalent"), 1 inequivalent, 2 usage error,
 3 infeasible job, 4 malformed input file.  A job is sized before it runs: a
-count by counting's rules under MAX_DIGITS and NAIVE_MAX_CELLS.
+count by counting's rules under MAX_DIGITS and NAIVE_MAX_CELLS, a chain walk
+under its ceiling and MAX_CHAIN_CEILING.
 
 Each command imports only the library modules it calls, when it runs:
 counting for count, table and sequence; enumeration (and with it counting) for
@@ -59,6 +60,16 @@ NAIVE_MAX_CELLS = 256
 # 2.9-3.0 s, each 258 MiB peak RSS (three alternating runs of each, Python
 # 3.11, one process).
 MAX_SIGNATURE_CELLS = 10**7
+
+# Most chains of an `enumerate` job, whatever its --ceiling: a ceiling bounds
+# what a user asks for, this limit what can finish.  Counting walks 2.7-13
+# million chains a second (the longer the chains, the slower), a labelled
+# listing 0.16-1.1 million lines.  The slowest job within it,
+# `enumerate --m 26 --k 0 --list --labels` (67,108,864 chains, each support
+# labelled afresh past enumeration.LABELLER_MAX_CELLS), took 423 s, and
+# `--m 10 --k 8 --list --labels` (66,528,000 chains of nine supports) 116 s
+# (Python 3.11, one process on two shared cores, written to /dev/null).
+MAX_CHAIN_CEILING = 10**8
 
 
 class MalformedInputError(Exception):
@@ -269,13 +280,19 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from . import enumeration
+    from . import counting, enumeration
 
     ceiling = enumeration.DEFAULT_CHAIN_CEILING if args.ceiling is None else args.ceiling
     if args.list and args.group_by_sizes:
         raise ValueError("--list and --group-by-sizes cannot be combined")
     if args.labels and not args.list:
         raise ValueError("--labels applies only to --list")
+    if ceiling > MAX_CHAIN_CEILING:
+        # refused past the ceiling first, in the library's words, then past this limit
+        enumeration._check_job(args.m, args.k, args.root, ceiling)
+        limit = f"the limit of {MAX_CHAIN_CEILING} chains for enumerate"
+        counting._count_within(args.m, args.k, args.root, MAX_CHAIN_CEILING, limit)
+        ceiling = MAX_CHAIN_CEILING
     if args.list:
         lines = enumeration.chain_lines(
             args.m, args.k, args.root, labeled=args.labels, ceiling=ceiling

@@ -17,10 +17,12 @@ through a memo of at most LISTING_MEMO_SIZE supports that is dropped with the
 listing; up to LABELLER_MAX_CELLS cells, a label the memo misses is read from
 _labeller's tables.  Two counting walks take the same walk without building the
 chains (_count_walk for count_chains, _group_walk for group_by_size_vector):
-every chain is still visited, the last free component of each in a loop, and no
-closed form is used.  The support lattice (HasseDiagram) is computed from m and
-written line by line, as DOT or as JSON, its labels read from two tables of
-half-width cell text (_labeller).
+every chain is still visited, and no closed form is used.  All three walks take
+each chain's last two free steps in one frame, with each leaf loop inline, so no
+frame is made per stem (a chain less its last free support).  The support
+lattice (HasseDiagram) is computed from m and written line by line, as DOT or as
+JSON, its node names made with one format spec and its labels read from two
+tables of half-width cell text (_labeller).
 """
 
 from __future__ import annotations
@@ -196,18 +198,25 @@ def _walk(
         if steps == 1:
             # before a J tail, any nonempty part of comp but comp, which comes last
             stop = comp if j_tail else 0
-            while True:
-                x = (x - comp) & comp
-                if x == stop:
-                    return
+            while (x := (x - comp) & comp) != stop:
                 leaf = step(prefix, last | x)
                 yield step(leaf, full) if j_tail else leaf
+            return
+        if steps == 2:
+            # each next support, then the leaf loop above it, in this one frame
+            while x := (x - comp) & comp:
+                nxt = last | x
+                mid = step(prefix, nxt)
+                rest = full & ~nxt
+                stop = rest if j_tail else 0
+                y = 0
+                while (y := (y - rest) & rest) != stop:
+                    leaf = step(mid, nxt | y)
+                    yield step(leaf, full) if j_tail else leaf
+            return
         # prune: must leave room for the remaining strict steps
         room = steps - 1 + j_tail
-        while True:
-            x = (x - comp) & comp
-            if x == 0:
-                return
+        while x := (x - comp) & comp:
             nxt = last | x
             if m - nxt.bit_count() >= room:
                 yield from extend(nxt, steps - 1, step(prefix, nxt))
@@ -222,8 +231,8 @@ def _chain_tuples(m: int, k: int, root: str | None) -> Iterator[tuple[int, ...]]
 
 
 def _count_walk(m: int, k: int, root: str | None) -> int:
-    """The number of chains _walk yields, found by the same walk, the last free
-    component at a time, without building the chains."""
+    """The number of chains _walk yields, found by the same walk, the last two
+    free components in one frame, without building the chains."""
     full, firsts = _first_supports(m, k, root)
     j_tail = root == "J" and k > 0
 
@@ -231,34 +240,40 @@ def _count_walk(m: int, k: int, root: str | None) -> int:
         if steps == 0:
             return 1
         comp = full & ~last
-        n = 0
-        x = 0
+        n = x = 0
         if steps == 1:
             stop = comp if j_tail else 0
-            while True:
-                x = (x - comp) & comp
-                if x == stop:
-                    return n
+            while (x := (x - comp) & comp) != stop:
                 n += 1
+            return n
+        if steps == 2:
+            while x := (x - comp) & comp:
+                rest = full & ~(last | x)
+                stop = rest if j_tail else 0
+                y = leaves = 0  # per stem, most counts stay small ints: cached, not made
+                while (y := (y - rest) & rest) != stop:
+                    leaves += 1
+                n += leaves
+            return n
         room = steps - 1 + j_tail
-        while True:
-            x = (x - comp) & comp
-            if x == 0:
-                return n
+        while x := (x - comp) & comp:
             nxt = last | x
             if m - nxt.bit_count() >= room:
                 n += count(nxt, steps - 1)
+        return n
 
     return sum(count(first, k - j_tail) for first in firsts)
 
 
 def _group_walk(m: int, k: int, root: str | None) -> Counter:
     """The chains _walk yields, counted by size vector, found by the same walk
-    with the running sizes in place of the components."""
+    with the running sizes in place of the components.  A frame of the last
+    one or two free steps tallies its leaves by their last one or two sizes."""
     full, firsts = _first_supports(m, k, root)
     j_tail = root == "J" and k > 0
     tail = (m,) * j_tail
     grouped: Counter = Counter()
+    width = m + 1
 
     def walk(last: int, steps: int, sizes: tuple[int, ...]) -> None:
         if steps == 0:
@@ -268,21 +283,31 @@ def _group_walk(m: int, k: int, root: str | None) -> Counter:
         x = 0
         if steps == 1:
             stop = comp if j_tail else 0
-            tally = [0] * (m + 1)
-            while True:
-                x = (x - comp) & comp
-                if x == stop:
-                    break
+            tally = [0] * width
+            while (x := (x - comp) & comp) != stop:
                 tally[(last | x).bit_count()] += 1
             for size, n in enumerate(tally):
                 if n:
                     grouped[sizes + (size,) + tail] += n
             return
+        if steps == 2:
+            # entry a * width + b counts the leaves of middle size a and leaf size b
+            tally = [0] * (width * width)
+            while x := (x - comp) & comp:
+                nxt = last | x
+                rest = full & ~nxt
+                stop = rest if j_tail else 0
+                row = nxt.bit_count() * (width + 1)  # a leaf of size a + |y|
+                y = 0
+                while (y := (y - rest) & rest) != stop:
+                    tally[row + y.bit_count()] += 1
+            low = (last.bit_count() + 1) * width  # no middle size is |last| or less
+            for i, n in enumerate(tally[low:], low):
+                if n:
+                    grouped[sizes + divmod(i, width) + tail] += n
+            return
         room = steps - 1 + j_tail
-        while True:
-            x = (x - comp) & comp
-            if x == 0:
-                return
+        while x := (x - comp) & comp:
             nxt = last | x
             size = nxt.bit_count()
             if m - size >= room:
@@ -372,6 +397,12 @@ class HasseDiagram(_Value):
         return range(1 << self.cell_count)
 
     @property
+    def _names(self) -> list[str]:
+        """Each node's bitstring, as mask_to_bits gives it, from one format spec."""
+        spec = f"0{self.cell_count}b"
+        return [f"{n:{spec}}" for n in self.nodes] if self.cell_count else [""]
+
+    @property
     def _cell_bits(self) -> list[int]:
         """Each cell's bit, in cell order: bit m-1 is cell 1."""
         return [1 << p for p in reversed(range(self.cell_count))]
@@ -384,9 +415,8 @@ class HasseDiagram(_Value):
 
     def dot_lines(self) -> Iterator[str]:
         """The DOT text, one line at a time."""
-        m = self.cell_count
-        bits = [mask_to_bits(n, m) for n in self.nodes]
-        label = _labeller(m)
+        bits = self._names
+        label = _labeller(self.cell_count)
         cells = self._cell_bits
         yield "digraph support_lattice {\n"
         yield "  rankdir=BT;\n"
@@ -406,25 +436,25 @@ class HasseDiagram(_Value):
         """The text of json.dumps(self.to_json_dict(), indent=2) + "\n", one node at a time."""
         m = self.cell_count
         full = (1 << m) - 1
-        names = [json.dumps(mask_to_bits(n, m)) for n in self.nodes]
+        names = self._names  # a bitstring needs no JSON escape, so it is quoted in place
         label = _labeller(m)
         yield f'{{\n  "m": {m},\n  "nodes": [\n'
         for node in self.nodes:
             end = "\n" if node == full else ",\n"
             text = json.dumps(label(node))
-            yield f'    {{\n      "bits": {names[node]},\n      "label": {text}\n    }}{end}'
+            yield f'    {{\n      "bits": "{names[node]}",\n      "label": {text}\n    }}{end}'
         yield '  ],\n  "adjacency": {\n'
         cells = self._cell_bits
         for node in self.nodes:
-            ups = ",\n      ".join([names[node | bit] for bit in cells if not node & bit])
-            value = f"[\n      {ups}\n    ]" if ups else "[]"
+            ups = '",\n      "'.join([names[node | bit] for bit in cells if not node & bit])
+            value = f'[\n      "{ups}"\n    ]' if ups else "[]"
             end = "\n" if node == full else ",\n"
-            yield f"    {names[node]}: {value}{end}"
+            yield f'    "{names[node]}": {value}{end}'
         yield "  }\n}\n"
 
     def to_json_dict(self) -> dict:
         m = self.cell_count
-        bits = [mask_to_bits(n, m) for n in self.nodes]
+        bits = self._names
         label = _labeller(m)
         cells = self._cell_bits
         return {

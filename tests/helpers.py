@@ -3,17 +3,21 @@
 The oracles here deliberately avoid the package's bitmask/DFS machinery:
 supports are frozensets, chains are found by filtering combinations and
 equivalence is decided pair of cells by pair of cells, so agreement with the
-library is a genuine cross-check.
+library is a genuine cross-check.  The one exception is the stem walks, the
+library's enumeration walks as they were with one frame per stem: they pin the
+chains, their order and every listing byte of the walks that replaced them.
 """
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from math import comb
 
 from hypothesis import strategies as st
 
 from cutchains import CrispMatrix, FuzzyMatrix, format_value, mask_to_bits, support_label
+from cutchains.enumeration import _first_supports
 from cutchains.matrices import MAX_DIGITS
 
 
@@ -57,6 +61,126 @@ def brute_force_lines(m, k, root=None, labeled=False):
     chains = sorted(brute_force_chains(m, k, root), key=lambda chain: tuple(map(bits, chain)))
     text = label if labeled else bits
     return [" < ".join(map(text, chain)) for chain in chains]
+
+
+def stem_walk(m, k, root, start, step):
+    """Every chain of k steps, in lexicographic order, as start(first) grown by
+    step(prefix, support) one support at a time, one generator frame per stem
+    (a chain less its last free support).  A J-rooted chain of k >= 1 steps is
+    k-1 free steps, the last leaving a cell out, then the full support."""
+    full, firsts = _first_supports(m, k, root)
+    j_tail = root == "J" and k > 0
+
+    def extend(last, steps, prefix):
+        if steps == 0:
+            yield step(prefix, full) if j_tail else prefix
+            return
+        comp = full & ~last
+        x = 0
+        if steps == 1:
+            # before a J tail, any nonempty part of comp but comp, which comes last
+            stop = comp if j_tail else 0
+            while True:
+                x = (x - comp) & comp
+                if x == stop:
+                    return
+                leaf = step(prefix, last | x)
+                yield step(leaf, full) if j_tail else leaf
+        # prune: must leave room for the remaining strict steps
+        room = steps - 1 + j_tail
+        while True:
+            x = (x - comp) & comp
+            if x == 0:
+                return
+            nxt = last | x
+            if m - nxt.bit_count() >= room:
+                yield from extend(nxt, steps - 1, step(prefix, nxt))
+
+    for first in firsts:
+        yield from extend(first, k - j_tail, start(first))
+
+
+def stem_chain_tuples(m, k, root=None):
+    """Each chain's component masks, smallest first, by stem_walk."""
+    return stem_walk(m, k, root, lambda first: (first,), lambda prefix, nxt: prefix + (nxt,))
+
+
+def stem_chain_lines(m, k, root=None, labeled=False):
+    """chain_lines(m, k, root, labeled=labeled) by stem_walk, each support
+    formatted afresh."""
+    text = partial(support_label if labeled else mask_to_bits, m=m)
+    return stem_walk(m, k, root, text, lambda line, nxt: f"{line} < {text(nxt)}")
+
+
+def stem_count_walk(m, k, root=None):
+    """The number of chains stem_walk yields, one call per stem."""
+    full, firsts = _first_supports(m, k, root)
+    j_tail = root == "J" and k > 0
+
+    def count(last, steps):
+        if steps == 0:
+            return 1
+        comp = full & ~last
+        n = 0
+        x = 0
+        if steps == 1:
+            stop = comp if j_tail else 0
+            while True:
+                x = (x - comp) & comp
+                if x == stop:
+                    return n
+                n += 1
+        room = steps - 1 + j_tail
+        while True:
+            x = (x - comp) & comp
+            if x == 0:
+                return n
+            nxt = last | x
+            if m - nxt.bit_count() >= room:
+                n += count(nxt, steps - 1)
+
+    return sum(count(first, k - j_tail) for first in firsts)
+
+
+def stem_group_walk(m, k, root=None):
+    """The chains stem_walk yields, counted by size vector in a Counter, one
+    call per stem, each tallying its leaves by size."""
+    full, firsts = _first_supports(m, k, root)
+    j_tail = root == "J" and k > 0
+    tail = (m,) * j_tail
+    grouped = Counter()
+
+    def walk(last, steps, sizes):
+        if steps == 0:
+            grouped[sizes + tail] += 1
+            return
+        comp = full & ~last
+        x = 0
+        if steps == 1:
+            stop = comp if j_tail else 0
+            tally = [0] * (m + 1)
+            while True:
+                x = (x - comp) & comp
+                if x == stop:
+                    break
+                tally[(last | x).bit_count()] += 1
+            for size, n in enumerate(tally):
+                if n:
+                    grouped[sizes + (size,) + tail] += n
+            return
+        room = steps - 1 + j_tail
+        while True:
+            x = (x - comp) & comp
+            if x == 0:
+                return
+            nxt = last | x
+            size = nxt.bit_count()
+            if m - size >= room:
+                walk(nxt, steps - 1, sizes + (size,))
+
+    for first in firsts:
+        walk(first, k - j_tail, (first.bit_count(),))
+    return grouped
 
 
 def size_vector_sums(m, root=None):

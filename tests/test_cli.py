@@ -485,6 +485,53 @@ class TestClassifyLimit:
         )
 
 
+class TestChainLimit:
+    """`enumerate` refuses a job of more than MAX_CHAIN_CEILING chains whatever
+    its --ceiling says; a job past its ceiling is refused in the ceiling's words
+    first."""
+
+    def test_job_within_a_huge_ceiling_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        argv = ["enumerate", "--m", "40", "--k", "20", "--ceiling", "1" + "0" * 60]
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            "infeasible job: projected at least 2^172 chains for m=40, k=20 exceeds "
+            f"the limit of {cli.MAX_CHAIN_CEILING} chains for enumerate\n"
+        )
+        assert cli.MAX_CHAIN_CEILING == 10**8 > enumeration.DEFAULT_CHAIN_CEILING
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--list"], ["--list", "--labels"], ["--group-by-sizes"]]
+    )
+    def test_limit_is_inclusive_and_applies_to_every_mode(
+        self, capsys, monkeypatch, tmp_path, extra
+    ):
+        argv = ["enumerate", "--m", "4", "--k", "2", *extra]  # 110 chains
+        monkeypatch.setattr(cli, "MAX_CHAIN_CEILING", 110)
+        _, want, _ = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--ceiling", "1000") == (0, want, "")
+        monkeypatch.setattr(cli, "MAX_CHAIN_CEILING", 109)
+        target = tmp_path / "chains.txt"
+        code, out, err = run_cli(capsys, *argv, "--ceiling", "1000", "--output", str(target))
+        assert (code, out) == (3, "") and not target.exists()
+        assert err == (
+            "infeasible job: projected 110 chains for m=4, k=2 exceeds the limit of 109 "
+            "chains for enumerate\n"
+        )
+        # a ceiling under the limit is the one that applies
+        assert run_cli(capsys, *argv, "--ceiling", "109")[2].endswith(" the ceiling 109\n")
+
+    def test_ceiling_refuses_first(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_CHAIN_CEILING", 10)
+        code, _, err = run_cli(capsys, "enumerate", "--m", "4", "--k", "2", "--ceiling", "50")
+        assert code == 3 and err.endswith(" exceeds the ceiling 50\n")
+        # a job of no chain is served whatever the limit
+        argv = ["enumerate", "--m", "4", "--k", "5", "--ceiling", "50"]
+        assert run_cli(capsys, *argv) == (0, "0\n", "")
+
+
 class TestTable:
     def test_csv_matches_golden(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--max-n", "3")

@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,10 @@ from helpers import (
     hasse_json_oracle,
     record_to_sets,
     size_vector_sums,
+    stem_chain_lines,
+    stem_chain_tuples,
+    stem_count_walk,
+    stem_group_walk,
 )
 
 
@@ -365,6 +370,38 @@ class TestGroupBySizeVector:
 def tuple_walk(m, k, root):
     """The chains _chain_tuples yields, as the counting walks' oracle."""
     return list(enumeration._chain_tuples(m, k, root))
+
+
+def same_stream(a, b):
+    """Whether two iterables yield equal items in the same order, held one at a time."""
+    missing = object()
+    return all(x == y for x, y in zip_longest(a, b, fillvalue=missing))
+
+
+def assert_walks_match_stem_walks(m, k, root):
+    assert same_stream(enumeration._chain_tuples(m, k, root), stem_chain_tuples(m, k, root))
+    for labeled in (False, True):
+        lines = cc.chain_lines(m, k, root, labeled=labeled)
+        assert same_stream(lines, stem_chain_lines(m, k, root, labeled))
+    assert cc.count_chains(m, k, root) == stem_count_walk(m, k, root)
+    groups = stem_group_walk(m, k, root)
+    assert cc.group_by_size_vector(m, k, root) == dict(sorted(groups.items()))
+
+
+class TestStemWalkOracles:
+    """The walks take each chain's last two free steps in one frame; the walks
+    of one frame per stem they replaced are their oracle: the same chains in the
+    same order, the same listing bytes, counts and size-vector groups."""
+
+    @pytest.mark.parametrize("root", [None, "O", "J"])
+    @pytest.mark.parametrize("m", range(8))
+    def test_every_small_job(self, m, root):
+        for k in range(-1, m + 2):
+            assert_walks_match_stem_walks(m, k, root)
+
+    @pytest.mark.parametrize("m,k,root", [(8, 2, None), (8, 3, None), (9, 3, "O"), (9, 3, "J")])
+    def test_benchmark_jobs(self, m, k, root):
+        assert_walks_match_stem_walks(m, k, root)
 
 
 class TestCountingWalks:
