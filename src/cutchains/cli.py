@@ -64,11 +64,11 @@ MAX_SIGNATURE_CELLS = 10**7
 # Most chains of an `enumerate` job, whatever its --ceiling: a ceiling bounds
 # what a user asks for, this limit what can finish.  Counting walks 2.7-13
 # million chains a second (the longer the chains, the slower), a labelled
-# listing 0.16-1.1 million lines.  The slowest job within it,
-# `enumerate --m 26 --k 0 --list --labels` (67,108,864 chains, each support
-# labelled afresh past enumeration.LABELLER_MAX_CELLS), took 423 s, and
-# `--m 10 --k 8 --list --labels` (66,528,000 chains of nine supports) 116 s
-# (Python 3.11, one process on two shared cores, written to /dev/null).
+# listing 0.9-1.1 million lines.  The slowest job within it,
+# `enumerate --m 10 --k 8 --list --labels` (66,528,000 chains of nine
+# supports), took 74.5 s, `--m 26 --k 0 --list --labels` (67,108,864 chains)
+# 72.4 s and `--m 26 --k 1 --root O` 67.1 s (Python 3.11, one run each in
+# one process on two shared cores, written to /dev/null).
 MAX_CHAIN_CEILING = 10**8
 
 

@@ -12,17 +12,17 @@ InfeasibleJobError, which matrices defines and this module re-exports.  One
 walk (_walk) streams the chains, each grown from its parent's prefix:
 enumerate_chains as tuples of masks (_chain_tuples), and chain_lines as listing
 lines, each line its parent's text plus one support.  So a listing streams in
-constant memory; chain_lines formats each support once per listing,
-through a memo of at most LISTING_MEMO_SIZE supports that is dropped with the
-listing; up to LABELLER_MAX_CELLS cells, a label the memo misses is read from
-_labeller's tables.  Two counting walks take the same walk without building the
-chains (_count_walk for count_chains, _group_walk for group_by_size_vector):
-every chain is still visited, and no closed form is used.  All three walks take
-each chain's last two free steps in one frame, with each leaf loop inline, so no
-frame is made per stem (a chain less its last free support).  The support
-lattice (HasseDiagram) is computed from m and written line by line, as DOT or as
-JSON, its node names made with one format spec and its labels read from two
-tables of half-width cell text (_labeller).
+constant memory; chain_lines formats each support once per listing, through a
+memo of at most LISTING_MEMO_SIZE supports that is dropped with the listing.
+Two counting walks take the same walk without building the chains (_count_walk
+for count_chains, _group_walk for group_by_size_vector): every chain is still
+visited, and no closed form is used.  All three walks take each chain's last
+two free steps in one frame, with each leaf loop inline, so no frame is made
+per stem (a chain less its last free support).  The support lattice
+(HasseDiagram) is computed from m and written line by line, as DOT or as JSON,
+its node names made with one format spec.  Listings and lattice alike read each
+label from two tables of half-width cell text, each entry made on its first
+read (_labeller), so a job builds only the halves it labels.
 """
 
 from __future__ import annotations
@@ -60,12 +60,6 @@ DEFAULT_CHAIN_CEILING = 10**7
 # was no faster.
 LISTING_MEMO_SIZE = 1 << 12
 
-# Most cells for which a labelled listing reads its labels from _labeller's two
-# half-width tables, 2 * 2^12 strings at 24 cells.  Past it, the only jobs under
-# the default ceiling are single chains (k = 0, rooted), whose tables would
-# still take 2^(m/2) strings, so each support is labelled by support_label.
-LABELLER_MAX_CELLS = 24
-
 # Most cells of a walk: each support is an m-bit int, and a listing line holds
 # m characters per support.  From m = 14,286 on, every job but a rooted k = 0
 # one (a single chain) has more than 10^4300 chains, more than any CLI ceiling,
@@ -86,22 +80,32 @@ def support_label(mask: int, m: int) -> str:
     return f"A_{size}^{{{','.join(cells)}}}"
 
 
+class _CellText(dict):
+    """",c" for each cell c of a mask over cells first..first+width-1, keyed by
+    the mask and made the first time it is read."""
+
+    __slots__ = ("first", "width")
+
+    def __init__(self, first: int, width: int) -> None:
+        self.first, self.width = first, width
+
+    def __missing__(self, mask: int) -> str:
+        first, width = self.first, self.width
+        text = self[mask] = "".join(
+            f",{first + p}" for p in range(width) if mask >> (width - 1 - p) & 1
+        )
+        return text
+
+
 def _labeller(m: int) -> Callable[[int], str]:
-    """support_label(mask, m) for masks over m cells, in O(1) per label: the
-    cells among the first ceil(m/2) and among the last floor(m/2) come from two
-    tables that hold the text of every half-width mask, 2 * 2^(m/2) strings in
-    all, not 2^m."""
+    """support_label(mask, m) for masks over m cells: the cells among the first
+    ceil(m/2) and among the last floor(m/2) come from two tables of half-width
+    cell text, each entry made on its first read.  So a job holds the text of
+    the halves it labels, at most 2^ceil(m/2) + 2^floor(m/2) strings, and none
+    for an empty or full support."""
     low = m // 2
-
-    def cell_text(first: int, width: int) -> list[str]:
-        # ",c" for each cell c of the mask, cells first..first+width-1
-        return [
-            "".join(f",{first + p}" for p in range(width) if mask >> (width - 1 - p) & 1)
-            for mask in range(1 << width)
-        ]
-
-    high_cells = cell_text(1, m - low)
-    low_cells = cell_text(m - low + 1, low)
+    high_cells = _CellText(1, m - low)
+    low_cells = _CellText(m - low + 1, low)
     low_bits = (1 << low) - 1
     full = (1 << m) - 1
 
@@ -372,12 +376,7 @@ def chain_lines(
     supports as bitstrings (labeled: as support_label text) joined by " < ",
     with each support's text formatted once per call."""
     _check_job(m, k, root, ceiling)
-    if not labeled:
-        support_text = partial(mask_to_bits, m=m)
-    elif m <= LABELLER_MAX_CELLS:
-        support_text = _labeller(m)
-    else:
-        support_text = partial(support_label, m=m)
+    support_text = _labeller(m) if labeled else partial(mask_to_bits, m=m)
     text = lru_cache(maxsize=LISTING_MEMO_SIZE)(support_text)
     return _walk(m, k, root, text, lambda line, nxt: f"{line} < {text(nxt)}")
 

@@ -4,7 +4,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -65,19 +65,25 @@ class TestLabels:
         assert cc.support_label(cc.bits_to_mask("0111"), 4) == "A_3^{2,3,4}"
         assert cc.support_label(cc.bits_to_mask("1000"), 4) == "A_1^{1}"
 
-    @pytest.mark.parametrize("m", range(17))
+    @pytest.mark.parametrize("m", [*range(17), 25, 26, 40, 100])
     def test_labeller_matches_support_label(self, m):
-        # every mask up to 12 cells, then a sample with each half empty and full;
-        # odd m gives the first half the extra cell
+        # every mask up to 12 cells, then each half empty and full and 3000
+        # distinct random masks; odd m gives the first half the extra cell
         full = (1 << m) - 1
         if m <= 12:
-            masks = range(full + 1)
+            masks = list(range(full + 1))
         else:
             low = (1 << m // 2) - 1
             masks = [0, full, low, full ^ low, 1, 1 << (m - 1), full - 1]
-            masks += random.Random(m).sample(range(full + 1), 3000)
+            rng, drawn = random.Random(m), set()
+            while len(drawn) < 3000:
+                drawn.add(rng.getrandbits(m))
+            masks += sorted(drawn)
         label = enumeration._labeller(m)
-        assert [label(mask) for mask in masks] == [cc.support_label(mask, m) for mask in masks]
+        expected = [cc.support_label(mask, m) for mask in masks]
+        # a table entry is made on its first read; the second reads it back
+        assert [label(mask) for mask in masks] == expected
+        assert [label(mask) for mask in masks] == expected
 
 
 class TestEnumerateChains:
@@ -186,15 +192,30 @@ class TestChainLines:
         got = list(cc.chain_lines(5, 2, labeled=labeled))
         assert got == listing_oracle(5, 2, None, labeled)
 
-    @pytest.mark.parametrize("m,root,line", [(25, "O", "A_0"), (2000, "J", "A_2000")])
+    @pytest.mark.parametrize(
+        "m,root,line",
+        [
+            (25, "O", "A_0"),
+            (2000, "J", "A_2000"),
+            (enumeration.WALK_MAX_CELLS, "O", "A_0"),
+            (enumeration.WALK_MAX_CELLS, "J", f"A_{enumeration.WALK_MAX_CELLS}"),
+        ],
+    )
     def test_single_chain_over_many_cells(self, m, root, line):
-        # past LABELLER_MAX_CELLS, no 2^(m/2) label table is built for one chain
+        # an empty or full support is labelled without reading a label table,
+        # so no table entry is made for one chain, even at the walk's cell bound
         assert list(cc.chain_lines(m, 0, root, labeled=True)) == [line]
 
-    def test_labels_past_labeller_bound(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "LABELLER_MAX_CELLS", 4)
-        got = list(cc.chain_lines(5, 2, labeled=True))
-        assert got == listing_oracle(5, 2, None, True)
+    @pytest.mark.parametrize(
+        "m,k,root", [(25, 1, "J"), (26, 1, "O"), (26, 2, None), (40, 1, "O")]
+    )
+    def test_labels_over_many_cells(self, m, k, root):
+        # the first 20,000 lines of listings far too long to finish, each line
+        # against the support_label text of its chain
+        lines = cc.chain_lines(m, k, root, labeled=True, ceiling=10**30)
+        records = cc.enumerate_chains(m, k, root, ceiling=10**30)
+        expected = [chain_line(r, labeled=True) for r in islice(records, 20000)]
+        assert list(islice(lines, 20000)) == expected
 
     def test_listing_in_constant_memory(self):
         tracemalloc.start()
