@@ -64,11 +64,12 @@ MAX_SIGNATURE_CELLS = 10**7
 # Most chains of an `enumerate` job, whatever its --ceiling: a ceiling bounds
 # what a user asks for, this limit what can finish.  Counting walks 2.7-13
 # million chains a second (the longer the chains, the slower), a labelled
-# listing 0.9-1.1 million lines.  The slowest job within it,
+# listing 0.9-1.6 million lines.  The slowest job within it,
 # `enumerate --m 10 --k 8 --list --labels` (66,528,000 chains of nine
-# supports), took 74.5 s, `--m 26 --k 0 --list --labels` (67,108,864 chains)
-# 72.4 s and `--m 26 --k 1 --root O` 67.1 s (Python 3.11, one run each in
-# one process on two shared cores, written to /dev/null).
+# supports), took 68.2-75.6 s (two runs), `--m 26 --k 1 --root O --list
+# --labels` 58.8 s and `--m 26 --k 0 --list --labels` (67,108,864 chains)
+# 42.8 s (Python 3.11, in one process on two shared cores, written to
+# /dev/null).
 MAX_CHAIN_CEILING = 10**8
 
 

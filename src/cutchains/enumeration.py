@@ -9,11 +9,13 @@ least one cell out, followed by the full support.  Each job is sized before its
 first chain is drawn, by counting's one rule for a per-k job, and refused above
 the caller's chain ceiling or WALK_MAX_CELLS cells.  A refused job raises
 InfeasibleJobError, which matrices defines and this module re-exports.  One
-walk (_walk) streams the chains, each grown from its parent's prefix:
-enumerate_chains as tuples of masks (_chain_tuples), and chain_lines as listing
-lines, each line its parent's text plus one support.  So a listing streams in
-constant memory; chain_lines formats each support once per listing, through a
-memo of at most LISTING_MEMO_SIZE supports that is dropped with the listing.
+walk (_walk) streams the chains, each the start of its first support followed
+by one piece per further support, joined inside the walk, a stem's prefix once
+for all its leaves: enumerate_chains as tuples of masks (_chain_tuples), and
+chain_lines as listing lines, each piece " < " and one support's text.  So a
+listing streams in constant memory; chain_lines formats each first support
+once, and keeps its pieces in a memo of at most LISTING_MEMO_SIZE pieces that
+is dropped with the listing.
 Two counting walks take the same walk without building the chains (_count_walk
 for count_chains, _group_walk for group_by_size_vector): every chain is still
 visited, and no closed form is used.  All three walks take each chain's last
@@ -21,15 +23,15 @@ two free steps in one frame, with each leaf loop inline, so no frame is made
 per stem (a chain less its last free support).  The support lattice
 (HasseDiagram) is computed from m and written line by line, as DOT or as JSON,
 its node names made with one format spec.  Listings and lattice alike read each
-label from two tables of half-width cell text, each entry made on its first
-read (_labeller), so a job builds only the halves it labels.
+label from two tables of half-width cell text and one of size text, each entry
+made on its first read (_labeller), so a job builds only the halves it labels.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, TypeVar
 
 # chain_count_ie stays bound here, where cutbench/run.py wraps it by name
@@ -54,10 +56,10 @@ __all__ = [
 DEFAULT_SUPPORT_CAP = 16
 DEFAULT_CHAIN_CEILING = 10**7
 
-# Most supports whose text one chain_lines call keeps: every support of up to 12
-# cells, and an m = 16 labelled listing allocates at most 1.2 MiB. A 2^16 memo
-# raised `enumerate --m 20 --k 0 --list --labels` from 18 to 39 MiB peak RSS and
-# was no faster.
+# Most pieces (" < " and a support's text) one chain_lines call keeps: every
+# support of up to 12 cells, and an m = 16 labelled listing allocates at most
+# 1.3 MiB.  A 2^16 memo raised `enumerate --m 20 --k 1 --root O --list
+# --labels` from 17 to 39 MiB peak RSS and was slower, 1.32 against 1.59 s.
 LISTING_MEMO_SIZE = 1 << 12
 
 # Most cells of a walk: each support is an m-bit int, and a listing line holds
@@ -71,6 +73,13 @@ _T = TypeVar("_T")
 
 def support_label(mask: int, m: int) -> str:
     """Label "A_<size>^{cells}" with 1-based cells; no superscript for empty or full."""
+    if m < 0:
+        raise ValueError(f"cell count must be nonnegative, got {m}")
+    if mask < 0 or mask >> m:
+        cells = _int_text(m)
+        raise ValueError(
+            f"a support over {cells} cells is a mask in 0..2^{cells}-1, got {_int_text(mask)}"
+        )
     size = mask.bit_count()
     if size == 0:
         return "A_0"
@@ -80,42 +89,46 @@ def support_label(mask: int, m: int) -> str:
     return f"A_{size}^{{{','.join(cells)}}}"
 
 
-class _CellText(dict):
-    """",c" for each cell c of a mask over cells first..first+width-1, keyed by
-    the mask and made the first time it is read."""
-
-    __slots__ = ("first", "width")
-
-    def __init__(self, first: int, width: int) -> None:
-        self.first, self.width = first, width
-
-    def __missing__(self, mask: int) -> str:
-        first, width = self.first, self.width
-        text = self[mask] = "".join(
+def _cell_text(table: dict[int, str], mask: int, first: int, width: int) -> str:
+    """table[mask], made on its first read: ",c" for each cell c of a mask over
+    cells first..first+width-1."""
+    text = table.get(mask)
+    if text is None:
+        text = table[mask] = "".join(
             f",{first + p}" for p in range(width) if mask >> (width - 1 - p) & 1
         )
-        return text
+    return text
 
 
-def _labeller(m: int) -> Callable[[int], str]:
-    """support_label(mask, m) for masks over m cells: the cells among the first
-    ceil(m/2) and among the last floor(m/2) come from two tables of half-width
-    cell text, each entry made on its first read.  So a job holds the text of
-    the halves it labels, at most 2^ceil(m/2) + 2^floor(m/2) strings, and none
-    for an empty or full support."""
+def _labeller(m: int, head: str = "") -> Callable[[int], str]:
+    """head + support_label(mask, m) for masks over m cells: the cells among
+    the first ceil(m/2) and among the last floor(m/2) come from two plain
+    dicts of half-width cell text, and the text before them from a third,
+    keyed by support size, each entry made on its first read.  So a job holds
+    the text of the halves and sizes it labels, at most 2^ceil(m/2) +
+    2^floor(m/2) + m - 1 strings, and none for an empty or full support."""
     low = m // 2
-    high_cells = _CellText(1, m - low)
-    low_cells = _CellText(m - low + 1, low)
+    high_cells: dict[int, str] = {}
+    low_cells: dict[int, str] = {}
+    sizes: dict[int, str] = {}
     low_bits = (1 << low) - 1
     full = (1 << m) - 1
+    empty, whole = f"{head}A_0", f"{head}A_{m}"
 
     def label(mask: int) -> str:
         if mask == 0:
-            return "A_0"
+            return empty
         if mask == full:
-            return f"A_{m}"
-        cells = high_cells[mask >> low] + low_cells[mask & low_bits]
-        return f"A_{mask.bit_count()}^{{{cells[1:]}}}"
+            return whole
+        try:
+            size = sizes[mask.bit_count()]
+            cells = high_cells[mask >> low] + low_cells[mask & low_bits]
+        except KeyError:
+            size = sizes.setdefault(mask.bit_count(), f"{head}A_{mask.bit_count()}^{{")
+            cells = _cell_text(high_cells, mask >> low, 1, m - low) + _cell_text(
+                low_cells, mask & low_bits, m - low + 1, low
+            )
+        return f"{size}{cells[1:]}}}"
 
     return label
 
@@ -185,53 +198,63 @@ def _walk(
     k: int,
     root: str | None,
     start: Callable[[int], _T],
-    step: Callable[[_T, int], _T],
+    piece: Callable[[int], _T],
 ) -> Iterator[_T]:
-    """Every chain of k steps, in lexicographic order, as start(first) grown by
-    step(prefix, support) one support at a time.  A J-rooted chain of k >= 1
-    steps is k-1 free steps, the last leaving a cell out, then the full support."""
+    """Every chain of k steps, in lexicographic order, as start(first) +
+    piece(s1) + ... + piece(sk): each stem's prefix is joined once, and each
+    leaf is that prefix plus one piece.  A J-rooted chain of k >= 1 steps is
+    k-1 free steps, the last leaving a cell out, then the full support."""
     full, firsts = _first_supports(m, k, root)
     j_tail = root == "J" and k > 0
+    free = k - j_tail
 
     def extend(last: int, steps: int, prefix: _T) -> Iterator[_T]:
-        if steps == 0:
-            yield step(prefix, full) if j_tail else prefix
-            return
         comp = full & ~last
         x = 0
         if steps == 1:
-            # before a J tail, any nonempty part of comp but comp, which comes last
-            stop = comp if j_tail else 0
-            while (x := (x - comp) & comp) != stop:
-                leaf = step(prefix, last | x)
-                yield step(leaf, full) if j_tail else leaf
+            if j_tail:
+                # any nonempty part of comp but comp, which the J tail fills
+                while (x := (x - comp) & comp) != comp:
+                    yield prefix + piece(last | x) + end
+            else:
+                while x := (x - comp) & comp:
+                    yield prefix + piece(last | x)
             return
         if steps == 2:
             # each next support, then the leaf loop above it, in this one frame
             while x := (x - comp) & comp:
                 nxt = last | x
-                mid = step(prefix, nxt)
+                mid = prefix + piece(nxt)
                 rest = full & ~nxt
-                stop = rest if j_tail else 0
                 y = 0
-                while (y := (y - rest) & rest) != stop:
-                    leaf = step(mid, nxt | y)
-                    yield step(leaf, full) if j_tail else leaf
+                if j_tail:
+                    while (y := (y - rest) & rest) != rest:
+                        yield mid + piece(nxt | y) + end
+                else:
+                    while y := (y - rest) & rest:
+                        yield mid + piece(nxt | y)
             return
         # prune: must leave room for the remaining strict steps
         room = steps - 1 + j_tail
         while x := (x - comp) & comp:
             nxt = last | x
             if m - nxt.bit_count() >= room:
-                yield from extend(nxt, steps - 1, step(prefix, nxt))
+                yield from extend(nxt, steps - 1, prefix + piece(nxt))
 
-    for first in firsts:
-        yield from extend(first, k - j_tail, start(first))
+    end = piece(full) if j_tail else None
+    if free:
+        for first in firsts:
+            yield from extend(first, free, start(first))
+    elif j_tail:
+        for first in firsts:
+            yield start(first) + end
+    else:
+        yield from map(start, firsts)
 
 
 def _chain_tuples(m: int, k: int, root: str | None) -> Iterator[tuple[int, ...]]:
     """Each chain's component masks, smallest first."""
-    return _walk(m, k, root, lambda first: (first,), lambda prefix, nxt: prefix + (nxt,))
+    return _walk(m, k, root, lambda first: (first,), lambda nxt: (nxt,))
 
 
 def _count_walk(m: int, k: int, root: str | None) -> int:
@@ -373,12 +396,16 @@ def chain_lines(
     ceiling: int = DEFAULT_CHAIN_CEILING,
 ) -> Iterator[str]:
     """Chain listing lines, one per chain, in enumeration order: each chain's
-    supports as bitstrings (labeled: as support_label text) joined by " < ",
-    with each support's text formatted once per call."""
+    supports as bitstrings (labeled: as support_label text) joined by " < ".
+    Each line is its first support's text and one memoised piece, " < " and a
+    support's text, per further support."""
     _check_job(m, k, root, ceiling)
-    support_text = _labeller(m) if labeled else partial(mask_to_bits, m=m)
-    text = lru_cache(maxsize=LISTING_MEMO_SIZE)(support_text)
-    return _walk(m, k, root, text, lambda line, nxt: f"{line} < {text(nxt)}")
+    if labeled:
+        start, text = _labeller(m), _labeller(m, " < ")
+    else:
+        spec = f"{{:0{m}b}}" if m else ""  # "".format(0) is mask_to_bits(0, 0)
+        start, text = spec.format, f" < {spec}".format
+    return _walk(m, k, root, start, lru_cache(maxsize=LISTING_MEMO_SIZE)(text))
 
 
 class HasseDiagram(_Value):

@@ -65,6 +65,35 @@ class TestLabels:
         assert cc.support_label(cc.bits_to_mask("0111"), 4) == "A_3^{2,3,4}"
         assert cc.support_label(cc.bits_to_mask("1000"), 4) == "A_1^{1}"
 
+    @pytest.mark.parametrize(
+        "mask,m,shown",
+        [
+            (4, 2, "4"),
+            (5, 2, "5"),
+            (-1, 3, "-1"),
+            (1, 0, "1"),
+            (1 << 100, 100, "<101-bit integer>"),
+        ],
+    )
+    def test_mask_outside_its_cells_refused(self, mask, m, shown):
+        # the bits of such a mask are not cells: no label is made for them
+        message = f"a support over {m} cells is a mask in 0..2^{m}-1, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cc.support_label(mask, m)
+
+    @pytest.mark.parametrize("m", [-1, -5])
+    def test_negative_cell_count_refused(self, m):
+        # in enumerate_supports' words
+        with pytest.raises(ValueError, match=f"cell count must be nonnegative, got {m}$"):
+            cc.support_label(0, m)
+        with pytest.raises(ValueError, match=f"cell count must be nonnegative, got {m}$"):
+            cc.enumerate_supports(m)
+
+    def test_masks_at_the_edge_of_their_cells_labelled(self):
+        assert cc.support_label(0, 0) == "A_0"
+        assert cc.support_label(3, 2) == "A_2"
+        assert cc.support_label(1 << 99, 100) == "A_1^{1}"
+
     @pytest.mark.parametrize("m", [*range(17), 25, 26, 40, 100])
     def test_labeller_matches_support_label(self, m):
         # every mask up to 12 cells, then each half empty and full and 3000
@@ -217,15 +246,27 @@ class TestChainLines:
         expected = [chain_line(r, labeled=True) for r in islice(records, 20000)]
         assert list(islice(lines, 20000)) == expected
 
+    @pytest.mark.parametrize("m,k,root,labeled", [(13, 2, "J", True), (14, 2, None, False)])
+    def test_two_step_frame_past_memo_bound(self, m, k, root, labeled):
+        # the first 50,000 lines draw pieces of more supports than the memo
+        # keeps, in the frame of the last two free steps, with and without a J tail
+        assert 2**m > enumeration.LISTING_MEMO_SIZE
+        lines = cc.chain_lines(m, k, root, labeled=labeled, ceiling=10**9)
+        expected = stem_chain_lines(m, k, root, labeled)
+        assert same_stream(islice(lines, 50000), islice(expected, 50000))
+
     def test_listing_in_constant_memory(self):
-        tracemalloc.start()
-        try:
-            count = sum(1 for _ in cc.chain_lines(16, 0, labeled=True))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert count == 2**16
-        assert peak < 4 * 2**20
+        # k = 0 draws first supports only; the O-rooted k = 1 listing draws
+        # 65,535 pieces through a memo of 4,096
+        for k, root in ((0, None), (1, "O")):
+            tracemalloc.start()
+            try:
+                count = sum(1 for _ in cc.chain_lines(16, k, root, labeled=True))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert count == 2**16 - k
+            assert peak < 4 * 2**20
 
 
 class TestFeasibilityCeiling:
