@@ -205,7 +205,7 @@ def _walk(
     leaf is that prefix plus one piece.  A J-rooted chain of k >= 1 steps is
     k-1 free steps, the last leaving a cell out, then the full support."""
     full, firsts = _first_supports(m, k, root)
-    j_tail = root == "J" and k > 0
+    j_tail = root == "J" and 0 < k <= m  # an empty job makes no J tail
     free = k - j_tail
 
     def extend(last: int, steps: int, prefix: _T) -> Iterator[_T]:
@@ -400,6 +400,8 @@ def chain_lines(
     Each line is its first support's text and one memoised piece, " < " and a
     support's text, per further support."""
     _check_job(m, k, root, ceiling)
+    if not 0 <= k <= m:
+        return iter(())  # no chain: no labeller, format spec or piece is made
     if labeled:
         start, text = _labeller(m), _labeller(m, " < ")
     else:

@@ -317,6 +317,14 @@ class TestSizesAtTheDigitLimit:
     def test_walk_of_no_chain_served(self, capsys, k):
         assert run_cli(capsys, "enumerate", "--m", str(10**3999), "--k", k) == (0, "0\n", "")
 
+    @pytest.mark.parametrize("labels", [[], ["--labels"]])
+    def test_listing_of_no_chain_served(self, capsys, labels):
+        # an empty J-rooted job makes no J tail piece, whatever m
+        argv = ["enumerate", "--m", str(10**12), "--k", str(10**12 + 1), "--root", "J"]
+        assert run_cli(capsys, *argv, "--list", *labels) == (0, "", "")
+        argv = ["enumerate", "--m", "9" * 4000, "--k", "-1", "--root", "J", "--list"]
+        assert run_cli(capsys, *argv, *labels) == (0, "", "")
+
     def test_walk_cells_bounded(self, capsys):
         # the only walks within a ceiling past the cell bound are single chains
         assert enumeration.WALK_MAX_CELLS == 1 << 20

@@ -366,6 +366,13 @@ class TestFeasibilityCeiling:
         assert cc.group_by_size_vector(10**400, -1, "O") == {}
         assert list(cc.chain_lines(10**400, -1)) == []
 
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("root", [None, "O", "J"])
+    def test_empty_listing_makes_no_piece(self, root, labeled):
+        # no J tail, label table or full support of 10^12 cells is built
+        assert list(cc.chain_lines(10**12, 10**12 + 1, root, labeled=labeled)) == []
+        assert list(cc.chain_lines(10**12, -1, root, labeled=labeled)) == []
+
     def test_bound_checks_root_first(self):
         with pytest.raises(ValueError, match="root"):
             cc.count_chains(100_000_000, 1, "X")
