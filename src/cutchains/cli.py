@@ -44,8 +44,9 @@ EXIT_MALFORMED = 4
 MAX_INPUT_BYTES = 4 * 2**20
 
 # Largest cell count (n = 16) counted by nested summation, whose table is O(m^3)
-# big-int operations: `count --n 16 --method naive` takes about 1.7 s and
-# `--n 22` about 24 s (Python 3.11, one process).
+# big-int operations: `count --n 16 --method naive` takes about 0.7 s, and so
+# do `table --max-n 16` and `sequence --max-n 16`, which read every row from
+# one table; a total at n = 22 takes about 13 s (Python 3.11, one process).
 NAIVE_MAX_CELLS = 256
 
 # Largest report of `classify` and `signature`, in cells: the one size rule of

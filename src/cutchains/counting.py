@@ -6,14 +6,16 @@ provided and must always agree:
 
 * the nested summation over size vectors (the strictly increasing sequences
   of component cardinalities), evaluated as a table memoised on (cells left,
-  steps left) in O(m^3) big-integer operations, and
+  steps left) in O(m^3) big-integer operations; one table to N^2 cells
+  serves every order n <= N of a table or a sequence, and
 * an inclusion-exclusion closed form with O(k) big-integer terms, obtained by
   viewing a chain as a cell -> entry-step assignment and subtracting the
   assignments that collapse a step.  Its value for length k is the k-th
   forward difference of x^m; the product rule for differences sweeps each row
   from the last, so a table to order N costs about N^4 small-by-big
   products.  A total needs no row: the same double sum, regrouped by the base
-  of each power, takes m+1 powers and O(m) products.
+  of each power, takes m+1 powers and O(m) products, and a sequence carries
+  each power from the order before by one product.
 
 The tests keep a plain depth-first search over every size vector as the
 oracle for the table at small m.
@@ -24,9 +26,9 @@ come from math.comb, and no table outlives the call that builds it.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, factorial, isqrt, lgamma, log, log2
-from operator import add
+from operator import add, mul
 from typing import Iterator, Literal
 
 from .matrices import InfeasibleJobError, _int_text, _Value
@@ -132,22 +134,37 @@ def _nested_table(m: int, k: int) -> list[list[int]]:
     W[r][j] = sum_{d=1}^{r-j+1} C(r, d) * W[r-d][j-1], with W[r][0] = 1.
     This is the depth-first sum with the prefix product factored out, so it
     takes O(m^2 k) big-integer operations instead of one visit per size
-    vector.  W[m][k] counts the O-rooted chains of length k, and so the
-    J-rooted ones: complementing every support reverses a chain and maps one
-    set onto the other.  An unrooted chain of length k starts at the empty
-    support or, with the empty support put in front, becomes an O-rooted chain
-    of length k+1: there are W[m][k] + W[m][k+1] of them.
+    vector.  Each entry is one inner product, in C, of Pascal row r with
+    column j-1, kept beside the rows; an entry with j > r is 0, not summed.
+    W depends on r alone, so the table to m holds every row r <= m.  W[m][k]
+    counts the O-rooted chains of length k, and so the J-rooted ones:
+    complementing every support reverses a chain and maps one set onto the
+    other.  An unrooted chain of length k starts at the empty support or, with
+    the empty support put in front, becomes an O-rooted chain of length k+1:
+    there are W[m][k] + W[m][k+1] of them.
     """
     table: list[list[int]] = []
+    cols: list[list[int]] = []  # cols[j] = [W[j][j], W[j+1][j], ...], rows so far
     row = [1]  # Pascal row r, advanced by Pascal's rule
     for r in range(m + 1):
-        w = [1]
-        for j in range(1, k + 1):
-            # each later step must add at least one cell, so leave j-1 behind
-            w.append(sum(row[d] * table[r - d][j - 1] for d in range(1, r - j + 2)))
-        table.append(w)
+        # each later step must add at least one cell, so leave j-1 behind; by
+        # C(r, d) = C(r, r-d) the sum runs over the rows i = r-d = j-1..r-1
+        w = [1, *(sum(map(mul, row[j - 1 : r], cols[j - 1])) for j in range(1, min(r, k) + 1))]
+        if r <= k:
+            cols.append([])
+        for col, x in zip(cols, w):
+            col.append(x)
+        table.append(w + [0] * (k + 1 - len(w)))
         row = [1, *map(add, row, row[1:]), 1]
     return table
+
+
+def _nested_counts(w: list[int], root: Root | None) -> list[int]:
+    """Per-k counts over m cells from w = W[m][0..m] of a nested table: w itself
+    rooted, and W[m][k] + W[m][k+1] unrooted (see _nested_table)."""
+    if root is not None:
+        return w
+    return list(map(add, w, [*w[1:], 0]))
 
 
 def chain_count(m: int, k: int) -> int:
@@ -171,8 +188,7 @@ def chain_count_rooted(m: int, k: int, root: Root) -> int:
 def chain_counts_by_k(m: int) -> list[int]:
     """All per-k chain counts over m cells from one nested-sum table."""
     _check_cells(m)
-    row = _nested_table(m, m)[m] + [0]
-    return list(map(add, row, row[1:]))
+    return _nested_counts(_nested_table(m, m)[m], None)
 
 
 def chain_count_ie(m: int, k: int, root: Root | None = None) -> int:
@@ -283,22 +299,40 @@ def _ie_rows(max_m: int, root: Root | None) -> Iterator[list[int]]:
         yield row
 
 
-def _ie_total(m: int, root: Root | None) -> int:
+def _ie_total(m: int, root: Root | None, powers: list[int] | None = None) -> int:
     """Sum of row m of _ie_rows: the same double sum, regrouped by the base of each power.
 
     With s = 2 unrooted and s = 1 rooted, the sum over k of the alternating
     sums is the sum over r = 0..m of a(r) * (r+s)^m, where
     a(r) = sum_{k=r}^{m} (-1)^(k-r) C(k, r).  The coefficients follow from
     a(m) = 1 and a(r-1) = 2 a(r) + (-1)^(m-r+1) C(m+1, r), so a total takes
-    m+1 powers and O(m) products and holds no row.
+    m+1 powers and O(m) products and holds no row.  powers, if given, is
+    [(r+s)^m for r in range(m + 1)]; otherwise each is made and dropped in turn.
     """
     s = 2 if root is None else 1
+    if powers is None:
+        descending = map(pow, range(m + s, s - 1, -1), repeat(m))
+    else:
+        descending = reversed(powers)
     total, a, c = 0, 1, 1  # a = a(r), c = C(m+1, r+1), by a running product
-    for r in range(m, -1, -1):
-        total += a * (r + s) ** m
+    for r, power in zip(range(m, -1, -1), descending):
+        total += a * power
         c = c * (r + 1) // (m + 1 - r)
         a = 2 * a - c if (m - r) % 2 == 0 else 2 * a + c
     return total
+
+
+def _ie_totals(max_n: int, root: Root | None) -> Iterator[int]:
+    """_ie_total(n*n, root) for n = 0..max_n from one list of powers, updated in
+    place: b^(n*n) is b^((n-1)^2) * b^(2n-1), and only new bases take a pow."""
+    s = 2 if root is None else 1
+    powers: list[int] = []
+    for n in range(max_n + 1):
+        m, step = n * n, 2 * n - 1
+        for r, power in enumerate(powers):
+            powers[r] = power * (r + s) ** step
+        powers.extend((r + s) ** m for r in range(len(powers), m + 1))
+        yield _ie_total(m, root, powers)
 
 
 def _pick_method(method: str) -> str:
@@ -310,13 +344,6 @@ def _pick_method(method: str) -> str:
     raise ValueError(f'method must be "auto", "naive", or "ie", got {method!r}')
 
 
-def _nested_row(m: int, root: Root | None) -> list[int]:
-    """Per-k counts over m cells, unrooted (root None) or rooted, from one nested-sum table."""
-    if root is None:
-        return chain_counts_by_k(m)
-    return _nested_table(m, m)[m]
-
-
 def total_count(n: int, root: Root | None = None, *, method: str = "auto") -> int:
     """Number of equivalence classes of order-n fuzzy matrices: all chains over n*n cells.
 
@@ -325,14 +352,16 @@ def total_count(n: int, root: Root | None = None, *, method: str = "auto") -> in
     evaluates the closed form, which is faster than the nested summation at
     every order, and "naive" stays as its oracle.  The closed form sums the
     inclusion-exclusion double sum regrouped by the base of each power, m+1
-    powers and O(m) products for m = n*n, without building the per-k row.
+    fresh powers and O(m) products for m = n*n, without building the per-k
+    row; it is the oracle of sequence's sweep, which carries the powers.
     """
     _check_order(n)
     if root is not None:
         _check_root(root)
+    m = n * n
     if _pick_method(method) == "ie":
-        return _ie_total(n * n, root)
-    return sum(_nested_row(n * n, root))
+        return _ie_total(m, root)
+    return sum(_nested_counts(_nested_table(m, m)[m], root))
 
 
 def flag_count(n: int) -> int:
@@ -394,16 +423,22 @@ def _table_rows(max_n: int, root: Root | None, method: str) -> Iterator[CountRow
     if _pick_method(method) == "ie":
         rows = (c for m, c in enumerate(_ie_rows(max_n * max_n, root)) if isqrt(m) ** 2 == m)
     else:
-        rows = (_nested_row(n * n, root) for n in range(max_n + 1))
+        rows = _nested_rows(max_n, root)
     return (CountRow(n, tuple(c), sum(c)) for n, c in enumerate(rows))
+
+
+def _nested_rows(max_n: int, root: Root | None) -> Iterator[list[int]]:
+    """Per-k counts over n*n cells for n = 0..max_n, from one nested table."""
+    table = _nested_table(max_n * max_n, max_n * max_n)
+    return (_nested_counts(table[n * n][: n * n + 1], root) for n in range(max_n + 1))
 
 
 def count_table(max_n: int, *, root: Root | None = None, method: str = "auto") -> CountTable:
     """Full table of per-k counts and totals for n = 0..max_n.
 
     method selects the path as for total_count: the rows at m = n*n of one
-    _ie_rows sweep, about max_n^4 small-by-big products, or one nested table
-    per row.  A lone total (total_count) takes m+1 powers and builds no row.
+    _ie_rows sweep, about max_n^4 small-by-big products, or of one nested
+    table.  A lone total (total_count) takes m+1 powers and builds no row.
     This holds every row; the CLI writes each row of _table_rows as it is made.
     """
     _check_order(max_n)
@@ -413,6 +448,11 @@ def count_table(max_n: int, *, root: Root | None = None, method: str = "auto") -
 
 
 def sequence(max_n: int, *, method: str = "auto") -> list[tuple[int, int]]:
-    """The class-count sequence (n, f_n) for n = 0..max_n."""
+    """The class-count sequence (n, f_n) for n = 0..max_n, each total_count(n,
+    method=method): one _ie_totals sweep, or the rows of one nested table."""
     _check_order(max_n)
-    return [(n, total_count(n, method=method)) for n in range(max_n + 1)]
+    if _pick_method(method) == "ie":
+        totals = _ie_totals(max_n, None)
+    else:
+        totals = map(sum, _nested_rows(max_n, None))
+    return list(enumerate(totals))

@@ -15,7 +15,8 @@ for all its leaves: enumerate_chains as tuples of masks (_chain_tuples), and
 chain_lines as listing lines, each piece " < " and one support's text.  So a
 listing streams in constant memory; chain_lines formats each first support
 once, and keeps its pieces in a memo of at most LISTING_MEMO_SIZE pieces that
-is dropped with the listing.
+is dropped with the listing, but for an O-rooted k = 1 listing, which draws
+each piece once.
 Two counting walks take the same walk without building the chains (_count_walk
 for count_chains, _group_walk for group_by_size_vector): every chain is still
 visited, and no closed form is used.  All three walks take each chain's last
@@ -397,8 +398,9 @@ def chain_lines(
 ) -> Iterator[str]:
     """Chain listing lines, one per chain, in enumeration order: each chain's
     supports as bitstrings (labeled: as support_label text) joined by " < ".
-    Each line is its first support's text and one memoised piece, " < " and a
-    support's text, per further support."""
+    Each line is its first support's text and one piece, " < " and a
+    support's text, per further support, memoised unless no piece can be
+    drawn twice (an O-rooted k = 1 listing)."""
     _check_job(m, k, root, ceiling)
     if not 0 <= k <= m:
         return iter(())  # no chain: no labeller, format spec or piece is made
@@ -407,7 +409,11 @@ def chain_lines(
     else:
         spec = f"{{:0{m}b}}" if m else ""  # "".format(0) is mask_to_bits(0, 0)
         start, text = spec.format, f" < {spec}".format
-    return _walk(m, k, root, start, lru_cache(maxsize=LISTING_MEMO_SIZE)(text))
+    # an O-rooted k = 1 listing draws each piece once, after its one first
+    # support, so a memo there would only miss
+    if root != "O" or k != 1:
+        text = lru_cache(maxsize=LISTING_MEMO_SIZE)(text)
+    return _walk(m, k, root, start, text)
 
 
 class HasseDiagram(_Value):

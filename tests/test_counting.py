@@ -129,6 +129,14 @@ class TestNestedSumTable:
             m = row.n * row.n
             assert row.counts == tuple(cc.chain_count_ie(m, k, root) for k in range(m + 1))
 
+    def test_rows_do_not_depend_on_table_size(self):
+        # W[r][j] depends on r alone, so one table to 20 cells holds every
+        # smaller table's last row, zero past j = r
+        table = cc.counting._nested_table(20, 20)
+        assert len(table) == 21
+        for r, row in enumerate(table):
+            assert row == cc.counting._nested_table(r, r)[r] + [0] * (20 - r)
+
 
 class TestRootedCounts:
     @pytest.mark.parametrize(
@@ -284,6 +292,8 @@ class TestTotals:
     def test_bad_method(self):
         with pytest.raises(ValueError):
             cc.total_count(2, method="guess")
+        with pytest.raises(ValueError, match="^method must be"):
+            cc.sequence(2, method="guess")
 
     @pytest.mark.parametrize("method", ["naive", "ie", "auto"])
     def test_bad_root(self, method):
@@ -362,6 +372,24 @@ class TestTableAndSequence:
         assert calls == [(36, "J")]
         assert table.rows[6].counts == tuple(cc.chain_count_ie(36, k, "J") for k in range(37))
 
+    def test_one_nested_table_per_naive_table_and_sequence(self, monkeypatch):
+        calls = []
+        nested = cc.counting._nested_table
+
+        def counted(*args):
+            calls.append(args)
+            return nested(*args)
+
+        monkeypatch.setattr(cc.counting, "_nested_table", counted)
+        for root in (None, "O", "J"):
+            calls.clear()
+            table = cc.count_table(5, root=root, method="naive")
+            assert calls == [(25, 25)]
+            assert table == cc.count_table(5, root=root, method="ie")
+        calls.clear()
+        assert cc.sequence(5, method="naive") == cc.sequence(5, method="ie")
+        assert calls == [(25, 25)]
+
     def test_rooted_table(self):
         table = cc.count_table(2, root="O")
         assert table.rows[2].counts == (1, 15, 50, 60, 24)
@@ -428,6 +456,15 @@ class TestTableAndSequence:
             (4, 21262618727925419),
         ]
         assert cc.sequence(0) == [(0, 1)]
+
+    def test_sequence_sweep_matches_lone_totals(self):
+        # each power carried from the order before, against fresh powers per total
+        assert cc.sequence(30, method="ie") == [(n, cc.total_count(n)) for n in range(31)]
+
+    @pytest.mark.parametrize("root", [None, "O", "J"])
+    def test_carried_powers_match_fresh_ones(self, root):
+        totals = list(cc.counting._ie_totals(20, root))
+        assert totals == [cc.counting._ie_total(n * n, root) for n in range(21)]
 
     @given(st.integers(min_value=0, max_value=3))
     def test_sequence_methods_agree(self, max_n):

@@ -221,6 +221,23 @@ class TestChainLines:
         got = list(cc.chain_lines(5, 2, labeled=labeled))
         assert got == listing_oracle(5, 2, None, labeled)
 
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_memo_only_where_a_piece_can_recur(self, monkeypatch, labeled):
+        # an O-rooted k = 1 listing draws each piece once, after the empty support
+        memos = []
+        cache = enumeration.lru_cache
+
+        def counted(maxsize):
+            memos.append(maxsize)
+            return cache(maxsize=maxsize)
+
+        monkeypatch.setattr(enumeration, "lru_cache", counted)
+        for k, root in ((1, "O"), (0, "O"), (2, "O"), (1, "J"), (1, None)):
+            memos.clear()
+            got = list(cc.chain_lines(5, k, root, labeled=labeled))
+            assert got == listing_oracle(5, k, root, labeled)
+            assert memos == ([] if (k, root) == (1, "O") else [enumeration.LISTING_MEMO_SIZE])
+
     @pytest.mark.parametrize(
         "m,root,line",
         [
