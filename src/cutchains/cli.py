@@ -37,8 +37,10 @@ EXIT_MALFORMED = 4
 # 95 MiB peak RSS to parse (most of the time) and group, and is then refused by
 # MAX_SIGNATURE_CELLS before any cut is built; so is one of 35,000 with
 # three-digit entries (".ddd", "0", "1"), in 3.8-4.9 s and 103 MiB.  One of
-# 57,456 order-6 0/1 matrices, as many classes of one or two cuts, is served in
-# 7.3-9.8 s and 148 MiB, writing 55 MB.  One of 1,398,101 order-1 0/1
+# 57,456 order-6 0/1 matrices, as many classes of one or two cuts (seeded
+# random.choices("01"), as the CI step "Class building at the input bound"
+# makes it), is served in 6.9-10.0 s and 147 MiB, writing 55 MB, of which
+# building the classes takes 2.0-2.1 s.  One of 1,398,101 order-1 0/1
 # matrices, two classes, is served in 11-15 s and 292 MiB, nearly all of it
 # parsing and grouping the members (Python 3.11, one process).
 MAX_INPUT_BYTES = 4 * 2**20

@@ -6,8 +6,11 @@ when they realize the same chain, so the chain (with levels discarded) is a
 canonical signature for the equivalence class.  Both decision procedures are
 implemented: the direct entrywise definition and the cut-chain comparison.
 Cuts are stored as int support masks; a `CrispMatrix` is built only for an
-alpha cut and for `ChainSignature.cuts`.  A classification's report formats
-each distinct value once per report: the classes of one k share their levels.
+alpha cut and for `ChainSignature.cuts`.  A representative is made from its
+masks, which its caller's checked signature or chain keeps nested, with no
+entry coerced again; classify_corpus re-checks it entrywise as ever.  A
+classification's report formats each distinct value once per report: the
+classes of one k share their levels.
 """
 
 from __future__ import annotations
@@ -287,28 +290,32 @@ def reconstruct(chain: CutChain) -> FuzzyMatrix:
 
 
 def _reconstruct(n: int, levels: Iterable[Fraction], masks: Iterable[int]) -> FuzzyMatrix:
+    """Each cell at the highest level whose mask holds it, else 0.  The masks
+    are nested, as each caller's CutChain or ChainSignature has checked, so a
+    level's fresh cells are mask ^ placed; the entries, ZERO and the levels,
+    are exact Fractions in [0, 1], so none is coerced again.  _build_classes
+    still re-checks the result entrywise."""
     m = n * n
     values = [ZERO] * m
     placed = 0
-    # Highest level first, so each cell takes the first level whose cut holds it.
     if m <= _BIT_LOOP_CELLS:
         for level, mask in zip(levels, masks):
-            fresh = mask & ~placed
-            placed |= fresh
+            fresh = mask ^ placed
+            placed = mask
             while fresh:
                 low = fresh & -fresh
                 values[m - low.bit_length()] = level
                 fresh ^= low
     else:
         for level, mask in zip(levels, masks):
-            fresh = mask & ~placed
-            placed |= fresh
-            bits = mask_to_bits(fresh, m)  # cell p is character p
+            bits = mask_to_bits(mask ^ placed, m)  # cell p is character p
+            placed = mask
             p = bits.find("1")
             while p >= 0:
                 values[p] = level
                 p = bits.find("1", p + 1)
-    return FuzzyMatrix(n, tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n)))
+    # n values per row, and () at order 0
+    return FuzzyMatrix._of_rows(n, tuple(zip(*[iter(values)] * n)))
 
 
 def equivalent_direct(a: FuzzyMatrix, b: FuzzyMatrix) -> bool:

@@ -283,6 +283,14 @@ class FuzzyMatrix(_Value):
         object.__setattr__(self, "entries", rows)
 
     @classmethod
+    def _of_rows(cls, order: int, rows: tuple) -> "FuzzyMatrix":
+        """The matrix of rows, order tuples of order Fractions in [0, 1], unchecked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "order", order)
+        object.__setattr__(f, "entries", rows)
+        return f
+
+    @classmethod
     def from_rows(cls, rows) -> "FuzzyMatrix":
         """Build from any square nest of strings, ints, or Fractions."""
         rows = tuple(rows)

@@ -335,6 +335,18 @@ def check_cuts_oracle(order, masks):
             raise ValueError("cuts must be strictly increasing under inclusion")
 
 
+def reconstruct_oracle(order, levels, masks):
+    """The rows of the matrix a chain of cuts rebuilds, cell by cell: each cell
+    takes the highest level whose cut holds it, else 0."""
+    m = order * order
+    cuts = [mask_to_bits(mask, m) for mask in masks]
+    cells = [
+        max((a for a, cut in zip(levels, cuts) if cut[p] == "1"), default=Fraction(0))
+        for p in range(m)
+    ]
+    return [cells[i * order : (i + 1) * order] for i in range(order)]
+
+
 @st.composite
 def cut_tuples(draw, max_order=3):
     """(order, masks): a chain built by adding cells, which may add none (equal

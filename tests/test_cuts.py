@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -30,6 +31,7 @@ from helpers import (
     order_preserving_remap,
     random_matrix,
     rank_pattern_oracle,
+    reconstruct_oracle,
     shares_a_float,
     spelled_corpora,
 )
@@ -458,16 +460,19 @@ class TestMasksEndToEnd:
 
 
 def on_both_paths(f):
-    """f's cut masks, its reconstructed cut chain and its canonical representative,
-    from the per-cell bit loops and then from the linear paths, which every order
-    takes with cuts._BIT_LOOP_CELLS at -1."""
+    """f's cut masks, its reconstructed cut chain, its canonical representative
+    and its class representative from classify_corpus, from the per-cell bit
+    loops and then from the linear paths, which every order takes with
+    cuts._BIT_LOOP_CELLS at -1."""
     results = []
     for limit in (cuts._BIT_LOOP_CELLS, -1):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cuts, "_BIT_LOOP_CELLS", limit)
             masks = cuts._cut_masks(f.order, cuts._rank_pattern(f))
             representative = cc.canonical_representative(cc.ChainSignature(f.order, masks))
-            results.append((masks, cc.reconstruct(cc.cut_chain(f)), representative))
+            (klass,) = cc.classify_corpus([f]).classes
+            rebuilt = cc.reconstruct(cc.cut_chain(f))
+            results.append((masks, rebuilt, representative, klass.representative))
     return results
 
 
@@ -512,6 +517,53 @@ class TestLinearPaths:
         halves = int("".join("0" if e == "0" else "1" for e in entries), 2)
         assert klass.signature.masks == (ones, halves)
         assert klass.representative == f  # the even levels of k = 1 are 1 and 1/2
+
+
+class TestDirectRepresentatives:
+    """Representatives are made straight from their cut masks, with no second
+    coerce or range check: the checked constructor is their oracle, and a
+    chain of cuts rebuilds each cell at the highest level whose cut holds it."""
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 6, 65])
+    def test_equal_to_the_checked_constructor(self, n):
+        rng = random.Random(n)
+        crisp = M(*(rng.choices("01", k=n) for _ in range(n)))
+        zeros, ones = M(*(["0"] * n,) * n), M(*(["1"] * n,) * n)
+        for f in (random_matrix(rng, n), crisp, zeros, ones):
+            for _, *made in on_both_paths(f):
+                for g in made:
+                    assert g == FuzzyMatrix(n, g.entries)
+                    assert g.order == n and type(g.entries) is tuple
+                    assert all(type(row) is tuple for row in g.entries)
+                    assert all(type(v) is F for v in g.values())
+                    assert pickle.loads(pickle.dumps(g)) == g
+
+    @settings(max_examples=600)  # about one drawn chain in six is a valid one
+    @given(cut_tuples(), st.data())
+    @example((0, (0,)), None)
+    @example((2, (0, 0b0100, 0b1101, 0b1111)), None)
+    @example((3, (0b000010000, 0b111111111)), None)
+    def test_each_cell_takes_its_highest_level(self, case, data):
+        order, masks = case
+        try:
+            sig = cc.ChainSignature(order, masks)
+        except ValueError:
+            return  # TestCutChecks covers refused masks
+        if data is None:
+            levels = [F(len(masks) - i, len(masks) + 1) for i in range(len(masks))]
+        else:
+            level = st.fractions(min_value=0, max_value=1).filter(bool)
+            size = len(masks)
+            levels = data.draw(st.lists(level, min_size=size, max_size=size, unique=True))
+        chain = cc.CutChain(order, sorted(levels, reverse=True), masks)
+        even = [F(len(masks) - i, len(masks)) for i in range(len(masks))]
+        for limit in (cuts._BIT_LOOP_CELLS, -1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cuts, "_BIT_LOOP_CELLS", limit)
+                rebuilt = cc.reconstruct(chain)
+                representative = cc.canonical_representative(sig)
+            assert rebuilt == FuzzyMatrix(order, reconstruct_oracle(order, chain.levels, masks))
+            assert representative == FuzzyMatrix(order, reconstruct_oracle(order, even, masks))
 
 
 # 1/3 and a value 1/(3*10^40) above it convert to the same float.
