@@ -75,6 +75,15 @@ MAX_SIGNATURE_CELLS = 10**7
 # /dev/null).
 MAX_CHAIN_CEILING = 10**8
 
+# Lines of an `enumerate --list` listing joined into one write.  A block, its
+# joined text and that text's bytes are all of the listing held at once, about
+# three times the text of its lines: under 0.3 MB for the labelled m = 16,
+# k = 1 O-rooted listing, whose lines run to 49 characters.  Writing the
+# labelled (8, 2) listing to a file took 20.2 ms one line at a time and 14.6 ms
+# in these blocks, against 11.3 ms for the listing alone; blocks of 4096 lines
+# took 16.2 ms and 1 MiB more peak RSS (medians of 30 interleaved runs).
+LIST_BLOCK_LINES = 1024
+
 
 class MalformedInputError(Exception):
     pass
@@ -140,6 +149,12 @@ def _json_array_chunks(items: Iterable, margin: str = "") -> Iterator[str]:
         yield opener + json.dumps(item, indent=2).replace("\n", "\n" + pad)
         opener = ",\n" + pad
     yield "[]\n" if opener[0] == "[" else f"\n{margin}]\n"
+
+
+def _line_blocks(lines: Iterator[str]) -> Iterator[str]:
+    """The lines, each ended by a newline, joined LIST_BLOCK_LINES at a time."""
+    while block := list(itertools.islice(lines, LIST_BLOCK_LINES)):
+        yield "\n".join(block) + "\n"
 
 
 def _table_csv_lines(rows: Iterable) -> Iterator[str]:
@@ -302,7 +317,7 @@ def _cmd_enumerate(args) -> int:
             args.m, args.k, args.root, labeled=args.labels, ceiling=ceiling
         )
         # chain_lines has accepted the job, so a refused one leaves no file
-        _emit((line + "\n" for line in lines), args.output)
+        _emit(_line_blocks(lines), args.output)
         return EXIT_OK
     if args.group_by_sizes:
         groups = enumeration.group_by_size_vector(args.m, args.k, args.root, ceiling=ceiling)

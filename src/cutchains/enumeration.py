@@ -9,30 +9,38 @@ least one cell out, followed by the full support.  Each job is sized before its
 first chain is drawn, by counting's one rule for a per-k job, and refused above
 the caller's chain ceiling or WALK_MAX_CELLS cells.  A refused job raises
 InfeasibleJobError, which matrices defines and this module re-exports.  One
-walk (_walk) streams the chains, each the start of its first support followed
-by one piece per further support, joined inside the walk, a stem's prefix once
-for all its leaves: enumerate_chains as tuples of masks (_chain_tuples), and
-chain_lines as listing lines, each piece " < " and one support's text.  So a
-listing streams in constant memory; chain_lines formats each first support
-once, and keeps its pieces in a memo of at most LISTING_MEMO_SIZE pieces that
-is dropped with the listing, but for an O-rooted k = 1 listing, which draws
-each piece once.
+walk (_walk) streams the chains a stem (a chain less its last free support) at
+a time: each chain is the start of its first support and one piece per further
+support, and the stem's prefix is joined once.  Where a stem's last support
+can end another stem (past the first free step, or the second after the empty
+O root), its leaf pieces are listed once, in a memo (_LeafMemo) of at most
+LEAF_MEMO_SIZE pieces in all, emptied when full, and one C-level map adds the
+prefix to each, so no Python frame runs per chain; every other stem, and one
+with more leaves than that memo holds, streams its chains from a generator, so
+a listing runs in bounded memory.  enumerate_chains (_chain_tuples) and
+chain_lines join the stems' iterables into one stream, of tuples of masks and
+of listing lines, each piece " < " and one support's text.  chain_lines formats
+each first support once, and keeps its pieces in a memo of at most
+LISTING_MEMO_SIZE pieces, but for an O-rooted k = 1 listing, which draws each
+piece once; both memos end with the listing.
 Two counting walks take the same walk without building the chains (_count_walk
 for count_chains, _group_walk for group_by_size_vector): every chain is still
-visited, and no closed form is used.  All three walks take each chain's last
-two free steps in one frame, with each leaf loop inline, so no frame is made
-per stem (a chain less its last free support).  The support lattice
-(HasseDiagram) is computed from m and written line by line, as DOT or as JSON,
-its node names made with one format spec.  Listings and lattice alike read each
-label from two tables of half-width cell text and one of size text, each entry
-made on its first read (_labeller), so a job builds only the halves it labels.
+visited, one at a time, and no closed form is used.  They take each chain's
+last two free steps in one frame, with each leaf loop inline, so no frame is
+made per stem.  The support lattice (HasseDiagram) is computed from m and
+written line by line, as DOT or as JSON, its node names made with one format
+spec.  Listings and lattice alike read each label from two tables of
+half-width cell text and one of size text, each entry made on its first read
+(_labeller), so a job builds only the halves it labels.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain, repeat
+from operator import add
 from typing import Callable, Iterable, Iterator, TypeVar
 
 # chain_count_ie stays bound here, where cutbench/run.py wraps it by name
@@ -62,6 +70,17 @@ DEFAULT_CHAIN_CEILING = 10**7
 # 1.3 MiB.  A 2^16 memo raised `enumerate --m 20 --k 1 --root O --list
 # --labels` from 17 to 39 MiB peak RSS and was slower, 1.32 against 1.59 s.
 LISTING_MEMO_SIZE = 1 << 12
+
+# Most leaf pieces one walk keeps in lists, summed over the stems' last
+# supports whose leaves it lists (_LeafMemo): all 6,274 of an m = 8 walk, and
+# about half of those at m = 9.  Each list entry refers to a piece the piece
+# memo may also hold, or to one ending in the J tail's text.  The first 300,000
+# lines of the labelled (16, 3, "J") listing allocate at most 3.0 MiB, against
+# 4.5 MiB with 2^14 pieces and 1.8 MiB at one generator step per chain.  With
+# 2^12 pieces the labelled (8, 2) listing makes 915 lists of 17,965 pieces,
+# where this memo makes 255 of 6,274, and took 10.7 ms against 8.3 ms (11.7 ms
+# at one generator step per chain; in process, interleaved medians).
+LEAF_MEMO_SIZE = 1 << 13
 
 # Most cells of a walk: each support is an m-bit int, and a listing line holds
 # m characters per support.  From m = 14,286 on, every job but a rooted k = 0
@@ -194,46 +213,80 @@ def _first_supports(m: int, k: int, root: str | None) -> tuple[int, Iterator[int
     return full, (first for first in firsts if m - first.bit_count() >= k)
 
 
+class _LeafMemo(dict):
+    """Each support's leaf pieces, leaves(last), listed on its first lookup and
+    kept while the lists hold at most LEAF_MEMO_SIZE pieces in all: the memo is
+    emptied when the next list would not fit.  A support with more leaves
+    than the whole memo holds is None, so no list is made for a large rest."""
+
+    def __init__(self, leaves: Callable[[int], Iterator], m: int, j_tail: bool) -> None:
+        super().__init__()
+        self.leaves, self.m, self.j_tail = leaves, m, j_tail
+        self.space = LEAF_MEMO_SIZE
+
+    def __missing__(self, last: int) -> list | None:
+        count = (1 << (self.m - last.bit_count())) - 1 - self.j_tail
+        if count > LEAF_MEMO_SIZE:
+            return None
+        if count > self.space:
+            self.clear()
+            self.space = LEAF_MEMO_SIZE
+        self.space -= count
+        pieces = self[last] = list(self.leaves(last))
+        return pieces
+
+
 def _walk(
     m: int,
     k: int,
     root: str | None,
     start: Callable[[int], _T],
     piece: Callable[[int], _T],
-) -> Iterator[_T]:
+) -> Iterator[Iterable[_T]]:
     """Every chain of k steps, in lexicographic order, as start(first) +
-    piece(s1) + ... + piece(sk): each stem's prefix is joined once, and each
-    leaf is that prefix plus one piece.  A J-rooted chain of k >= 1 steps is
-    k-1 free steps, the last leaving a cell out, then the full support."""
+    piece(s1) + ... + piece(sk), one iterable per stem (a chain less its last
+    free support): the stem's prefix is joined once, then added to each of its
+    leaf pieces by one map, or by a generator where the leaves stream.  A
+    J-rooted chain of k >= 1 steps is k-1 free steps, the last leaving a cell
+    out, then the full support, whose piece ends each leaf piece."""
     full, firsts = _first_supports(m, k, root)
     j_tail = root == "J" and 0 < k <= m  # an empty job makes no J tail
     free = k - j_tail
+    end = piece(full) if j_tail else None
 
-    def extend(last: int, steps: int, prefix: _T) -> Iterator[_T]:
+    def chains(prefix: _T, last: int) -> Iterator[_T]:
+        # prefix and a piece per nonempty part of the cells last leaves out,
+        # but not all of them before a J tail, which fills them
         comp = full & ~last
         x = 0
-        if steps == 1:
-            if j_tail:
-                # any nonempty part of comp but comp, which the J tail fills
-                while (x := (x - comp) & comp) != comp:
-                    yield prefix + piece(last | x) + end
-            else:
-                while x := (x - comp) & comp:
-                    yield prefix + piece(last | x)
-            return
-        if steps == 2:
-            # each next support, then the leaf loop above it, in this one frame
+        if j_tail:
+            while (x := (x - comp) & comp) != comp:
+                yield prefix + piece(last | x) + end
+        else:
             while x := (x - comp) & comp:
+                yield prefix + piece(last | x)
+
+    # a stem's last support ends more than one stem only past the first free
+    # step, or past the second after the one empty root: only there are its
+    # leaf pieces listed, as chains of no support before them
+    recur = free >= 2 + (root == "O")
+    memo = _LeafMemo(partial(chains, start(0)[:0]), m, j_tail) if recur else None
+
+    def extend(last: int, steps: int, prefix: _T) -> Iterator[Iterable[_T]]:
+        comp = full & ~last
+        x = 0
+        if steps == 2:
+            # a stem of all of comp has no leaf; one of a single leaf makes its
+            # one chain, and one of none nothing, as a map costs more
+            while (x := (x - comp) & comp) != comp:
                 nxt = last | x
-                mid = prefix + piece(nxt)
-                rest = full & ~nxt
-                y = 0
-                if j_tail:
-                    while (y := (y - rest) & rest) != rest:
-                        yield mid + piece(nxt | y) + end
-                else:
-                    while y := (y - rest) & rest:
-                        yield mid + piece(nxt | y)
+                pieces = memo[nxt] if recur else None
+                if pieces is None:
+                    yield chains(prefix + piece(nxt), nxt)
+                elif len(pieces) > 1:
+                    yield map(add, repeat(prefix + piece(nxt)), pieces)
+                elif pieces:
+                    yield (prefix + piece(nxt) + pieces[0],)
             return
         # prune: must leave room for the remaining strict steps
         room = steps - 1 + j_tail
@@ -242,20 +295,21 @@ def _walk(
             if m - nxt.bit_count() >= room:
                 yield from extend(nxt, steps - 1, prefix + piece(nxt))
 
-    end = piece(full) if j_tail else None
-    if free:
+    if free >= 2:
         for first in firsts:
             yield from extend(first, free, start(first))
-    elif j_tail:
+    elif free:
         for first in firsts:
-            yield start(first) + end
+            yield chains(start(first), first)
+    elif j_tail:
+        yield (start(first) + end for first in firsts)
     else:
-        yield from map(start, firsts)
+        yield map(start, firsts)
 
 
 def _chain_tuples(m: int, k: int, root: str | None) -> Iterator[tuple[int, ...]]:
     """Each chain's component masks, smallest first."""
-    return _walk(m, k, root, lambda first: (first,), lambda nxt: (nxt,))
+    return chain.from_iterable(_walk(m, k, root, lambda first: (first,), lambda nxt: (nxt,)))
 
 
 def _count_walk(m: int, k: int, root: str | None) -> int:
@@ -275,13 +329,21 @@ def _count_walk(m: int, k: int, root: str | None) -> int:
                 n += 1
             return n
         if steps == 2:
-            while x := (x - comp) & comp:
-                rest = full & ~(last | x)
-                stop = rest if j_tail else 0
-                y = leaves = 0  # per stem, most counts stay small ints: cached, not made
-                while (y := (y - rest) & rest) != stop:
-                    leaves += 1
-                n += leaves
+            # per stem, most counts stay small ints: cached, not made
+            if j_tail:
+                while x := (x - comp) & comp:
+                    rest = comp ^ x
+                    y = leaves = 0
+                    while (y := (y - rest) & rest) != rest:
+                        leaves += 1
+                    n += leaves
+            else:
+                while x := (x - comp) & comp:
+                    rest = comp ^ x
+                    y = leaves = 0
+                    while y := (y - rest) & rest:
+                        leaves += 1
+                    n += leaves
             return n
         room = steps - 1 + j_tail
         while x := (x - comp) & comp:
@@ -323,7 +385,7 @@ def _group_walk(m: int, k: int, root: str | None) -> Counter:
             tally = [0] * (width * width)
             while x := (x - comp) & comp:
                 nxt = last | x
-                rest = full & ~nxt
+                rest = comp ^ x
                 stop = rest if j_tail else 0
                 row = nxt.bit_count() * (width + 1)  # a leaf of size a + |y|
                 y = 0
@@ -400,7 +462,8 @@ def chain_lines(
     supports as bitstrings (labeled: as support_label text) joined by " < ".
     Each line is its first support's text and one piece, " < " and a
     support's text, per further support, memoised unless no piece can be
-    drawn twice (an O-rooted k = 1 listing)."""
+    drawn twice (an O-rooted k = 1 listing); each stem's leaf pieces are
+    listed once where its last support can end another stem."""
     _check_job(m, k, root, ceiling)
     if not 0 <= k <= m:
         return iter(())  # no chain: no labeller, format spec or piece is made
@@ -413,7 +476,7 @@ def chain_lines(
     # support, so a memo there would only miss
     if root != "O" or k != 1:
         text = lru_cache(maxsize=LISTING_MEMO_SIZE)(text)
-    return _walk(m, k, root, start, text)
+    return chain.from_iterable(_walk(m, k, root, start, text))
 
 
 class HasseDiagram(_Value):

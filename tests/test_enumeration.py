@@ -216,27 +216,79 @@ class TestChainLines:
 
     @pytest.mark.parametrize("labeled", [False, True])
     def test_evicted_supports_formatted_again(self, monkeypatch, labeled):
-        # a 3-entry memo over 32 supports evicts and re-formats supports all the time
+        # a 3-entry piece memo over 32 supports evicts and re-formats supports
+        # all the time, and a leaf memo of 3 pieces lists only the leaves of
+        # rests of one or two cells, emptied for nearly every list it makes
         monkeypatch.setattr(enumeration, "LISTING_MEMO_SIZE", 3)
-        got = list(cc.chain_lines(5, 2, labeled=labeled))
-        assert got == listing_oracle(5, 2, None, labeled)
+        monkeypatch.setattr(enumeration, "LEAF_MEMO_SIZE", 3)
+        for k in (2, 3):
+            for root in (None, "O", "J"):
+                got = list(cc.chain_lines(5, k, root, labeled=labeled))
+                assert got == list(stem_chain_lines(5, k, root, labeled))
+                tuples = enumeration._chain_tuples(5, k, root)
+                assert list(tuples) == list(stem_chain_tuples(5, k, root))
 
     @pytest.mark.parametrize("labeled", [False, True])
     def test_memo_only_where_a_piece_can_recur(self, monkeypatch, labeled):
-        # an O-rooted k = 1 listing draws each piece once, after the empty support
+        # an O-rooted k = 1 listing draws each piece once, after the empty
+        # support, so it memoises none; a stem's last support ends another
+        # stem only past the first free step (a J tail is not free), or past
+        # the second after the empty support, and only there are its leaf
+        # pieces memoised
         memos = []
         cache = enumeration.lru_cache
+        leaf_memo = enumeration._LeafMemo
 
         def counted(maxsize):
-            memos.append(maxsize)
+            memos.append(("pieces", maxsize))
             return cache(maxsize=maxsize)
 
+        def counted_leaves(leaves, m, j_tail):
+            memos.append(("leaves", m))
+            return leaf_memo(leaves, m, j_tail)
+
         monkeypatch.setattr(enumeration, "lru_cache", counted)
-        for k, root in ((1, "O"), (0, "O"), (2, "O"), (1, "J"), (1, None)):
+        monkeypatch.setattr(enumeration, "_LeafMemo", counted_leaves)
+        pieces, leaves = ("pieces", enumeration.LISTING_MEMO_SIZE), ("leaves", 5)
+        for k, root, made in (
+            (1, "O", []),
+            (0, "O", [pieces]),
+            (2, "O", [pieces]),
+            (3, "O", [pieces, leaves]),
+            (1, "J", [pieces]),
+            (2, "J", [pieces]),
+            (3, "J", [pieces, leaves]),
+            (1, None, [pieces]),
+            (2, None, [pieces, leaves]),
+            (6, None, []),  # no chain: no memo
+        ):
+            expected = listing_oracle(5, k, root, labeled)
             memos.clear()
-            got = list(cc.chain_lines(5, k, root, labeled=labeled))
-            assert got == listing_oracle(5, k, root, labeled)
-            assert memos == ([] if (k, root) == (1, "O") else [enumeration.LISTING_MEMO_SIZE])
+            assert list(cc.chain_lines(5, k, root, labeled=labeled)) == expected
+            assert memos == made
+
+    def test_memoised_leaves_drawn_once(self, monkeypatch):
+        # with no piece memo, a leaf memo that keeps every list formats the
+        # middle support of each stem once, and each leaf piece once per
+        # support it follows, where a draw per chain would make 570
+        monkeypatch.setattr(enumeration, "lru_cache", lambda maxsize: lambda text: text)
+        monkeypatch.setattr(enumeration, "LEAF_MEMO_SIZE", 3**5)
+        drawn = []
+        labeller = enumeration._labeller
+
+        def counted(m, head=""):
+            label = labeller(m, head)
+            return (lambda mask: drawn.append(mask) or label(mask)) if head else label
+
+        monkeypatch.setattr(enumeration, "_labeller", counted)
+        got = list(cc.chain_lines(5, 2, labeled=True))
+        assert got == listing_oracle(5, 2, None, True) and len(got) == 570
+        # a first support leaves two cells out, at least, for the two steps,
+        # and a middle one at least one for its leaves
+        firsts = [a for a in range(32) if a.bit_count() <= 3]
+        stems = sum(1 for a in firsts for b in range(31) if a < a | b == b)
+        leaves = sum(2 ** (5 - b.bit_count()) - 1 for b in range(1, 31))
+        assert len(drawn) == stems + leaves == 180 + 180
 
     @pytest.mark.parametrize(
         "m,root,line",
@@ -263,18 +315,21 @@ class TestChainLines:
         expected = [chain_line(r, labeled=True) for r in islice(records, 20000)]
         assert list(islice(lines, 20000)) == expected
 
-    @pytest.mark.parametrize("m,k,root,labeled", [(13, 2, "J", True), (14, 2, None, False)])
+    @pytest.mark.parametrize(
+        "m,k,root,labeled", [(13, 2, "J", True), (14, 2, None, False), (16, 3, "O", True)]
+    )
     def test_two_step_frame_past_memo_bound(self, m, k, root, labeled):
         # the first 50,000 lines draw pieces of more supports than the memo
-        # keeps, in the frame of the last two free steps, with and without a J tail
+        # keeps, in the frame of the last two free steps, with and without a J
+        # tail, and past a first free step that ends no other stem
         assert 2**m > enumeration.LISTING_MEMO_SIZE
-        lines = cc.chain_lines(m, k, root, labeled=labeled, ceiling=10**9)
+        lines = cc.chain_lines(m, k, root, labeled=labeled, ceiling=10**30)
         expected = stem_chain_lines(m, k, root, labeled)
         assert same_stream(islice(lines, 50000), islice(expected, 50000))
 
     def test_listing_in_constant_memory(self):
         # k = 0 draws first supports only; the O-rooted k = 1 listing draws
-        # 65,535 pieces through a memo of 4,096
+        # 65,535 pieces and memoises none
         for k, root in ((0, None), (1, "O")):
             tracemalloc.start()
             try:
@@ -284,6 +339,22 @@ class TestChainLines:
                 tracemalloc.stop()
             assert count == 2**16 - k
             assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("m,k,root", [(16, 2, "O"), (16, 3, "O"), (14, 2, None)])
+    def test_leaf_memo_in_bounded_memory(self, m, k, root):
+        # the first 100,000 lines of (16, 2, "O") stream every stem's leaves;
+        # those of (16, 3, "O") and (14, 2) list the leaves of rests of up to
+        # 13 cells and stream larger ones.  Pieces and leaf lists alike stay
+        # within their memos' bounds.
+        lines = cc.chain_lines(m, k, root, labeled=True, ceiling=10**30)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in islice(lines, 100_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 100_000
+        assert peak < 4 * 2**20
 
 
 class TestFeasibilityCeiling:
