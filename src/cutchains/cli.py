@@ -8,14 +8,15 @@ under its ceiling and MAX_CHAIN_CEILING.
 Each command imports only the library modules it calls, when it runs:
 counting for count, table and sequence; enumeration (and with it counting) for
 enumerate and lattice; cuts for classify, signature and equivalent.  matrices
-is imported by this module and by every other.
+is imported by this module and by every other.  json is imported only to read
+a JSON input file and to quote the labels of a JSON lattice: every other output
+is written directly.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -35,14 +36,15 @@ EXIT_MALFORMED = 4
 # Largest input file read, in bytes.  A 4 MiB text corpus of 32,000 order-6
 # matrices with short entries (".dd", "0", "1") takes `classify` 5.1-5.6 s and
 # 95 MiB peak RSS to parse (most of the time) and group, and is then refused by
-# MAX_SIGNATURE_CELLS before any cut is built; so is one of 35,000 with
-# three-digit entries (".ddd", "0", "1"), in 3.8-4.9 s and 103 MiB.  One of
-# 57,456 order-6 0/1 matrices, as many classes of one or two cuts (seeded
-# random.choices("01"), as the CI step "Class building at the input bound"
-# makes it), is served in 6.9-10.0 s and 147 MiB, writing 55 MB, of which
-# building the classes takes 2.0-2.1 s.  One of 1,398,101 order-1 0/1
-# matrices, two classes, is served in 11-15 s and 292 MiB, nearly all of it
-# parsing and grouping the members (Python 3.11, one process).
+# MAX_SIGNATURE_CELLS before any cut is built; so is one of 34,639 whose cells
+# are "0", "1" or "0.ddd" with equal chance (16,134,516 signature cells), in
+# 2.4-3.5 s and 92 MiB.  One of 57,456 order-6 0/1 matrices, as many classes
+# of one or two cuts (seeded random.choices("01"), as the CI step "Class
+# building at the input bound" makes it), is served in 4.5-5.4 s and 147 MiB,
+# writing 55 MB, of which building the classes takes 2.0-2.1 s and writing
+# the report 0.5-0.6 s.  One of 1,398,101 order-1 0/1 matrices, two classes,
+# is served in 9.6-10.0 s and 293 MiB, nearly all of it parsing and grouping
+# the members (Python 3.11, one process).
 MAX_INPUT_BYTES = 4 * 2**20
 
 # Largest cell count (n = 16) counted by nested summation, whose table is O(m^3)
@@ -140,17 +142,6 @@ def _to_null_device(stream) -> None:
         os.close(null)
 
 
-def _json_array_chunks(items: Iterable, margin: str = "") -> Iterator[str]:
-    """The text of json.dumps(list(items), indent=2) + "\n", one chunk per item,
-    with every line after the first indented by margin."""
-    pad = margin + "  "  # an indent-2 array indents its items' lines by two spaces
-    opener = "[\n" + pad
-    for item in items:
-        yield opener + json.dumps(item, indent=2).replace("\n", "\n" + pad)
-        opener = ",\n" + pad
-    yield "[]\n" if opener[0] == "[" else f"\n{margin}]\n"
-
-
 def _line_blocks(lines: Iterator[str]) -> Iterator[str]:
     """The lines, each ended by a newline, joined LIST_BLOCK_LINES at a time."""
     while block := list(itertools.islice(lines, LIST_BLOCK_LINES)):
@@ -167,12 +158,20 @@ def _table_csv_lines(rows: Iterable) -> Iterator[str]:
 
 def _table_json_chunks(rows: Iterable, root: str | None, max_n: int) -> Iterator[str]:
     """The JSON text of a count table, one chunk per row: json.dumps with indent=2
-    of {"root", "max_n", "rows": [{"n", "counts", "total"}, ...]}, and a newline."""
-    empty = json.dumps({"root": root, "max_n": max_n, "rows": []}, indent=2)
-    yield empty.removesuffix("[]\n}")
-    rows = ({"n": row.n, "counts": list(row.counts), "total": row.total} for row in rows)
-    yield from _json_array_chunks(rows, "  ")
-    yield "}\n"
+    of {"root", "max_n", "rows": [{"n", "counts", "total"}, ...]}, and a newline.
+    Every value is an int but the root, None, "O" or "J", so none needs a JSON
+    escape and each is written in place."""
+    shown = "null" if root is None else f'"{root}"'
+    head = f'{{\n  "root": {shown},\n  "max_n": {max_n},\n  "rows": ['
+    opener = head + "\n    "
+    for row in rows:
+        counts = ",\n        ".join(map(str, row.counts))
+        yield (
+            f'{opener}{{\n      "n": {row.n},\n      "counts": [\n        {counts}\n'
+            f'      ],\n      "total": {row.total}\n    }}'
+        )
+        opener = ",\n    "
+    yield head + "]\n}\n" if opener[0] == "{" else "\n  ]\n}\n"
 
 
 def _read_input(path: str, fmt: str, what: str, parse_json, parse_text):
@@ -202,6 +201,8 @@ def _read_input(path: str, fmt: str, what: str, parse_json, parse_text):
     try:
         # a number literal reaches parse_value as its exact text, not as a float
         if use_json:
+            import json  # loaded only to read JSON
+
             return parse_json(json.loads(text, parse_float=str, parse_int=_json_int))
         return parse_text(text)
     except (ValueError, TypeError, RecursionError) as exc:  # deep JSON nesting recurses
@@ -353,7 +354,7 @@ def _classes(corpus: list[FuzzyMatrix], path: str) -> Classification:
 def _cmd_classify(args) -> int:
     result = _classes(_load_corpus(args.input, args.input_format), args.input)
     # streamed one class at a time, so the report is never held whole
-    _emit(_json_array_chunks(result._json_dicts()), args.output)
+    _emit(result._json_chunks(), args.output)
     return EXIT_OK
 
 
@@ -372,7 +373,7 @@ def _cmd_equivalent(args) -> int:
 def _cmd_signature(args) -> int:
     # the one class of a one-member corpus, bounded and re-checked as classify's are
     (cls,) = _classes([_load_matrix(args.input, args.input_format)], args.input).classes
-    _emit(json.dumps(cls.signature.to_json_dict(), indent=2) + "\n", args.output)
+    _emit(cls.signature._json_text("") + "\n", args.output)
     return EXIT_OK
 
 

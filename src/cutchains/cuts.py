@@ -10,7 +10,9 @@ alpha cut and for `ChainSignature.cuts`.  A representative is made from its
 masks, which its caller's checked signature or chain keeps nested, with no
 entry coerced again; classify_corpus re-checks it entrywise as ever.  A
 classification's report formats each distinct value once per report: the
-classes of one k share their levels.
+classes of one k share their levels.  The CLI's report is written one class at
+a time, with no dict built and no json encoder run (Classification._json_chunks,
+ChainSignature._json_text); to_json_list and to_json_dict stay as its oracle.
 """
 
 from __future__ import annotations
@@ -225,6 +227,20 @@ class ChainSignature(_Value):
             "j_rooted": self.j_rooted,
         }
 
+    def _json_text(self, margin: str) -> str:
+        """json.dumps(self.to_json_dict(), indent=2), with every line after the
+        first indented by margin.  A cut bitstring needs no JSON escape, so it
+        is quoted in place; bin and zfill write one faster than a format spec."""
+        m = self.order * self.order
+        pad = margin + "  "
+        cuts = f'",\n{pad}  "'.join([bin(mask)[2:].zfill(m) for mask in self.masks]) if m else ""
+        return (
+            f'{{\n{pad}"n": {self.order},\n{pad}"k": {len(self.masks) - 1},\n'
+            f'{pad}"cuts": [\n{pad}  "{cuts}"\n{pad}],\n'
+            f'{pad}"o_rooted": {"true" if self.o_rooted else "false"},\n'
+            f'{pad}"j_rooted": {"true" if self.j_rooted else "false"}\n{margin}}}'
+        )
+
 
 def _cut_masks(order: int, pattern: _RankPattern) -> tuple[int, ...]:
     """The masks of the cuts at the distinct positive values, ascending under inclusion.
@@ -406,6 +422,38 @@ class Classification(_Value):
 
         for cls in self.classes:
             yield cls._json_dict(text)
+
+    def _json_chunks(self) -> Iterator[str]:
+        """The text of json.dumps(self.to_json_list(), indent=2) + "\n", one
+        class at a time, with no dict built and no json encoder run.  Each
+        distinct value's format_value text is made once in the call, and, as
+        the text of a value in [0, 1] needs no JSON escape, quoted in place."""
+        quoted = _QuotedTexts()
+        opener = "[\n  "
+        for cls in self.classes:
+            rep = cls.representative
+            rows = "\n        ],\n        [\n          ".join(
+                [",\n          ".join([quoted[v._numerator, v._denominator] for v in row])
+                 for row in rep.entries]
+            )
+            entries = f"[\n        [\n          {rows}\n        ]\n      ]" if rep.order else "[]"
+            members = ",\n      ".join(map(str, cls.members))
+            yield (
+                f'{opener}{{\n    "signature": {cls.signature._json_text("    ")},\n'
+                f'    "representative": {{\n      "n": {rep.order},\n      "entries": {entries}\n'
+                f'    }},\n    "members": [\n      {members}\n    ]\n  }}'
+            )
+            opener = ",\n  "
+        yield "[]\n" if opener[0] == "[" else "\n]\n"
+
+
+class _QuotedTexts(dict):
+    """format_value's text of each value, in double quotes, keyed by the value's
+    lowest-terms (numerator, denominator) and made on its first read."""
+
+    def __missing__(self, key: tuple[int, int]) -> str:
+        text = self[key] = f'"{format_value(Fraction(*key))}"'
+        return text
 
 
 def _group_corpus(matrices: Iterable[FuzzyMatrix]) -> tuple[int, dict[_RankPattern, list[int]]]:

@@ -36,7 +36,6 @@ half-width cell text and one of size text, each entry made on its first read
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import chain, repeat
@@ -531,6 +530,8 @@ class HasseDiagram(_Value):
 
     def json_chunks(self) -> Iterator[str]:
         """The text of json.dumps(self.to_json_dict(), indent=2) + "\n", one node at a time."""
+        import json  # loaded only to quote the labels
+
         m = self.cell_count
         full = (1 << m) - 1
         names = self._names  # a bitstring needs no JSON escape, so it is quoted in place

@@ -152,11 +152,44 @@ def test_command_loads_only_its_modules(tmp_path, argv, modules):
     b.write_text("0 1/3\n0.2 1\n", encoding="utf-8")
     argv = [arg.format(a=a, b=b) for arg in argv]
     script = (
-        "import json, sys, cutchains.cli\n"
+        "import sys, cutchains.cli\n"
         f"code = cutchains.cli.main({argv!r})\n"
-        f"print(json.dumps([code, {LOADED}]))"
+        f"print(repr([code, {LOADED}]))"
     )
-    assert json.loads(run_fresh(script).splitlines()[-1]) == [0, modules]
+    assert ast.literal_eval(run_fresh(script).splitlines()[-1]) == [0, modules]
+
+
+# CLI commands, and whether a process running one loads json: only to read a
+# JSON input file or to quote the labels of a JSON lattice
+COMMAND_JSON = [
+    (["count", "--n", "2"], False),
+    (["table", "--max-n", "2"], False),
+    (["table", "--max-n", "2", "--format", "json"], False),
+    (["sequence", "--max-n", "2"], False),
+    (["enumerate", "--m", "3", "--k", "1", "--list"], False),
+    (["lattice", "--m", "2"], False),
+    (["lattice", "--m", "2", "--format", "json"], True),
+    (["classify", "--input", "{a}"], False),
+    (["classify", "--input", "{corpus}"], True),
+    (["signature", "--input", "{a}"], False),
+    (["signature", "--input", "{matrix}"], True),
+    (["equivalent", "{a}", "{a}"], False),
+]
+
+
+@pytest.mark.parametrize("argv, loads", COMMAND_JSON, ids=[" ".join(c[0]) for c in COMMAND_JSON])
+def test_command_loads_json_only_to_read_or_quote(tmp_path, argv, loads):
+    paths = {"a": tmp_path / "a.txt", "corpus": tmp_path / "c.json", "matrix": tmp_path / "m.json"}
+    paths["a"].write_text("0 1/2\n0.25 1\n", encoding="utf-8")
+    paths["matrix"].write_text('{"n": 1, "entries": [["0.5"]]}', encoding="utf-8")
+    paths["corpus"].write_text('[{"n": 1, "entries": [["0.5"]]}]', encoding="utf-8")
+    argv = [arg.format(**paths) for arg in argv]
+    script = (
+        "import sys, cutchains.cli\n"
+        f"code = cutchains.cli.main({argv!r})\n"
+        "print(repr([code, 'json' in sys.modules]))"
+    )
+    assert ast.literal_eval(run_fresh(script).splitlines()[-1]) == [0, loads]
 
 
 def test_submodules_resolve_after_benchmark_import():

@@ -8,6 +8,7 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +20,6 @@ from cutchains.cli import (
     MAX_INPUT_BYTES,
     MAX_SIGNATURE_CELLS,
     NAIVE_MAX_CELLS,
-    _json_array_chunks,
     main,
 )
 from helpers import (
@@ -1023,13 +1023,17 @@ class TestGoldenBytes:
         assert (code, out) == (0, "")
         assert target.read_text() == json.dumps(result.to_json_list(), indent=2) + "\n"
 
-    @pytest.mark.parametrize("items", [[], [{}], [{"a": [1, {"b": []}]}, "x\ny", [[]]]])
+    @pytest.mark.parametrize("items", [[], [0], [0, 1, 2, 3]])
     def test_streamed_report_matches_json_dumps(self, items):
-        for margin in ("", "  "):
-            chunks = list(_json_array_chunks(items, margin))
+        # a count table's JSON text, with the rows of these n: one chunk per row
+        # and one to close the text
+        for root in (None, "O", "J"):
+            table = cutchains.count_table(3, root=root)
+            rows = [table.rows[n] for n in items]
+            chunks = list(cli._table_json_chunks(rows, root, 3))
             assert len(chunks) == len(items) + 1
-            want = json.dumps(items, indent=2).replace("\n", "\n" + margin) + "\n"
-            assert "".join(chunks) == want
+            shown = SimpleNamespace(root=root, max_n=3, rows=rows)
+            assert "".join(chunks) == json.dumps(table_json_oracle(shown), indent=2) + "\n"
 
     def test_signature(self, capsys, tmp_path):
         outputs = []

@@ -2,6 +2,7 @@ import json
 import pickle
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -437,6 +438,88 @@ class TestReportText:
         # nothing is kept between calls: a second report formats every value again
         assert result.to_json_list() == report
         assert dict(calls) == dict.fromkeys(distinct, 2)
+
+
+class TestReportWriter:
+    """Classification._json_chunks and ChainSignature._json_text write the text
+    of json.dumps(..., indent=2) of to_json_list and to_json_dict, one class at
+    a time, with no json encoder."""
+
+    spelled = spelled_corpora().map(lambda grids: [FuzzyMatrix.from_rows(g) for g in grids])
+
+    @staticmethod
+    def check(result):
+        chunks = list(result._json_chunks())
+        assert len(chunks) == len(result) + 1
+        assert "".join(chunks) == json.dumps(result.to_json_list(), indent=2) + "\n"
+        for cls in result.classes:
+            sig = cls.signature
+            assert sig._json_text("") == json.dumps(sig.to_json_dict(), indent=2)
+
+    @given(st.one_of(corpora(), spelled))
+    def test_matches_json_dumps(self, corpus):
+        self.check(cc.classify_corpus(corpus))
+
+    @pytest.mark.parametrize(
+        "corpus",
+        [[M()], [M(), M()], [M(["0"])], [M(["1"])], [M(["0.5"])], [M(["1/3"]), M(["0.25"])]],
+        ids=["order0", "order0-twice", "zero", "one", "half", "two-members"],
+    )
+    def test_smallest_corpora(self, corpus):
+        self.check(cc.classify_corpus(corpus))
+
+    def test_no_class(self):
+        assert "".join(cuts.Classification(2, ())._json_chunks()) == "[]\n"
+
+    @pytest.mark.parametrize("name", ["golden_corpus.json", "golden_corpus.txt"])
+    def test_golden(self, name):
+        from cutchains import cli
+
+        result = cc.classify_corpus(cli._load_corpus(str(DATA / name), "auto"))
+        self.check(result)
+        assert "".join(result._json_chunks()) == (DATA / "golden_classify.json").read_text()
+        # each member's signature is its class's
+        texts = {i: cls.signature._json_text("") + "\n" for cls in result.classes for i in cls.members}
+        signatures = "".join(texts[i] for i in range(len(texts)))
+        assert signatures == (DATA / "golden_signatures.json").read_text()
+
+    @given(
+        st.one_of(
+            st.fractions(min_value=0, max_value=1),
+            # exact decimals, and past MAX_DIGITS digits the p/q form
+            st.tuples(st.integers(0, MAX_DIGITS + 2), st.integers(0, 3)).flatmap(
+                lambda ab: st.integers(0, 2 ** ab[0] * 5 ** ab[1]).map(
+                    lambda num: Fraction(num, 2 ** ab[0] * 5 ** ab[1])
+                )
+            ),
+        )
+    )
+    def test_value_texts_need_no_escape(self, value):
+        text = cuts.format_value(value)
+        assert text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+        assert json.dumps(text) == f'"{text}"'
+
+    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * n) - 1))))
+    def test_cut_texts_need_no_escape(self, order_mask):
+        n, mask = order_mask
+        (text,) = cuts.ChainSignature(n, [mask]).to_json_dict()["cuts"]
+        assert len(text) == n * n and not text.strip("01")
+        assert json.dumps(text) == f'"{text}"'
+
+    def test_streams(self):
+        # 4,096 one-member classes, the 0/1 order-4 matrices with bit 12 set: no
+        # two of them are equivalent; their report is 2.4 MB of text
+        grids = [[format(i, "016b")[r : r + 4] for r in range(0, 16, 4)] for i in range(4096, 8192)]
+        result = cc.classify_corpus([FuzzyMatrix.from_rows(map(list, grid)) for grid in grids])
+        assert len(result) == 4096
+        tracemalloc.start()
+        try:
+            size = sum(len(chunk) for chunk in result._json_chunks())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size > 2_000_000
+        assert peak < size // 50
 
 
 class TestMasksEndToEnd:
