@@ -9,8 +9,7 @@ Each command imports only the library modules it calls, when it runs:
 counting for count, table and sequence; enumeration (and with it counting) for
 enumerate and lattice; cuts for classify, signature and equivalent.  matrices
 is imported by this module and by every other.  json is imported only to read
-a JSON input file and to quote the labels of a JSON lattice: every other output
-is written directly.
+a JSON input file: every output is written directly.
 """
 
 from __future__ import annotations

@@ -8,11 +8,13 @@ implemented: the direct entrywise definition and the cut-chain comparison.
 Cuts are stored as int support masks; a `CrispMatrix` is built only for an
 alpha cut and for `ChainSignature.cuts`.  A representative is made from its
 masks, which its caller's checked signature or chain keeps nested, with no
-entry coerced again; classify_corpus re-checks it entrywise as ever.  A
-classification's report formats each distinct value once per report: the
-classes of one k share their levels.  The CLI's report is written one class at
-a time, with no dict built and no json encoder run (Classification._json_chunks,
-ChainSignature._json_text); to_json_list and to_json_dict stay as its oracle.
+entry coerced again; classify_corpus re-checks it entrywise as ever.  Every
+report reads its value texts from one memo per report (matrices._ValueTexts),
+so it formats each distinct value once: the classes of one k share their
+levels.  Every cut's text is mask_to_bits'.  The CLI's report is written one
+class at a time, with no dict built and no json encoder run
+(Classification._json_chunks, ChainSignature._json_text); to_json_list and
+to_json_dict stay as its oracle.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .matrices import (
     FuzzyMatrix,
     _same_order,
     _Value,
+    _ValueTexts,
     bits_to_mask,
-    format_value,
     mask_to_bits,
     parse_value,
 )
@@ -217,23 +219,21 @@ class ChainSignature(_Value):
 
     def to_json_dict(self) -> dict:
         m = self.order * self.order
-        spec = f"0{m}b"  # as mask_to_bits, with one format spec for all the cuts
         return {
             "n": self.order,
             "k": self.k,
-            # order 0 has the one cut, the empty one, which the spec would print as "0"
-            "cuts": [format(mask, spec) for mask in self.masks] if m else [""],
+            "cuts": [mask_to_bits(mask, m) for mask in self.masks],
             "o_rooted": self.o_rooted,
             "j_rooted": self.j_rooted,
         }
 
     def _json_text(self, margin: str) -> str:
         """json.dumps(self.to_json_dict(), indent=2), with every line after the
-        first indented by margin.  A cut bitstring needs no JSON escape, so it
-        is quoted in place; bin and zfill write one faster than a format spec."""
+        first indented by margin.  Each cut is mask_to_bits' bitstring, which
+        needs no JSON escape, so it is quoted in place."""
         m = self.order * self.order
         pad = margin + "  "
-        cuts = f'",\n{pad}  "'.join([bin(mask)[2:].zfill(m) for mask in self.masks]) if m else ""
+        cuts = f'",\n{pad}  "'.join([mask_to_bits(mask, m) for mask in self.masks])
         return (
             f'{{\n{pad}"n": {self.order},\n{pad}"k": {len(self.masks) - 1},\n'
             f'{pad}"cuts": [\n{pad}  "{cuts}"\n{pad}],\n'
@@ -379,14 +379,13 @@ class EquivalenceClass(_Value):
         object.__setattr__(self, "members", members)
 
     def to_json_dict(self) -> dict:
-        return self._json_dict(format_value)
+        return self._json_dict(_ValueTexts())
 
-    def _json_dict(self, text) -> dict:
-        """to_json_dict(), with each representative entry written by text in
-        place of format_value."""
+    def _json_dict(self, texts: _ValueTexts) -> dict:
+        """to_json_dict(), with each representative entry's text read from texts."""
         return {
             "signature": self.signature.to_json_dict(),
-            "representative": self.representative._json_dict(text),
+            "representative": self.representative._json_dict(texts),
             "members": list(self.members),
         }
 
@@ -406,37 +405,25 @@ class Classification(_Value):
         return len(self.classes)
 
     def to_json_list(self) -> list[dict]:
-        return list(self._json_dicts())
-
-    def _json_dicts(self) -> Iterator[dict]:
         """Each class's to_json_dict(), in order, with each distinct value
-        formatted once in the call: the classes of one k share their levels."""
-        texts: dict[tuple[int, int], str] = {}  # format_value of each value met so far
-
-        def text(v: Fraction) -> str:
-            try:
-                return texts[v._numerator, v._denominator]
-            except KeyError:
-                shown = texts[v._numerator, v._denominator] = format_value(v)
-                return shown
-
-        for cls in self.classes:
-            yield cls._json_dict(text)
+        formatted once in the call."""
+        texts = _ValueTexts()
+        return [cls._json_dict(texts) for cls in self.classes]
 
     def _json_chunks(self) -> Iterator[str]:
         """The text of json.dumps(self.to_json_list(), indent=2) + "\n", one
         class at a time, with no dict built and no json encoder run.  Each
         distinct value's format_value text is made once in the call, and, as
         the text of a value in [0, 1] needs no JSON escape, quoted in place."""
-        quoted = _QuotedTexts()
+        texts = _ValueTexts()
         opener = "[\n  "
         for cls in self.classes:
             rep = cls.representative
-            rows = "\n        ],\n        [\n          ".join(
-                [",\n          ".join([quoted[v._numerator, v._denominator] for v in row])
+            rows = '"\n        ],\n        [\n          "'.join(
+                ['",\n          "'.join([texts[v._numerator, v._denominator] for v in row])
                  for row in rep.entries]
             )
-            entries = f"[\n        [\n          {rows}\n        ]\n      ]" if rep.order else "[]"
+            entries = f'[\n        [\n          "{rows}"\n        ]\n      ]' if rep.order else "[]"
             members = ",\n      ".join(map(str, cls.members))
             yield (
                 f'{opener}{{\n    "signature": {cls.signature._json_text("    ")},\n'
@@ -445,15 +432,6 @@ class Classification(_Value):
             )
             opener = ",\n  "
         yield "[]\n" if opener[0] == "[" else "\n]\n"
-
-
-class _QuotedTexts(dict):
-    """format_value's text of each value, in double quotes, keyed by the value's
-    lowest-terms (numerator, denominator) and made on its first read."""
-
-    def __missing__(self, key: tuple[int, int]) -> str:
-        text = self[key] = f'"{format_value(Fraction(*key))}"'
-        return text
 
 
 def _group_corpus(matrices: Iterable[FuzzyMatrix]) -> tuple[int, dict[_RankPattern, list[int]]]:

@@ -529,18 +529,18 @@ class HasseDiagram(_Value):
         return "".join(self.dot_lines())
 
     def json_chunks(self) -> Iterator[str]:
-        """The text of json.dumps(self.to_json_dict(), indent=2) + "\n", one node at a time."""
-        import json  # loaded only to quote the labels
-
+        """The text of json.dumps(self.to_json_dict(), indent=2) + "\n", one node
+        at a time.  A bitstring and a label ("A_", digits, "^{", "," and "}")
+        need no JSON escape, so each is quoted in place."""
         m = self.cell_count
         full = (1 << m) - 1
-        names = self._names  # a bitstring needs no JSON escape, so it is quoted in place
+        names = self._names
         label = _labeller(m)
         yield f'{{\n  "m": {m},\n  "nodes": [\n'
         for node in self.nodes:
             end = "\n" if node == full else ",\n"
-            text = json.dumps(label(node))
-            yield f'    {{\n      "bits": "{names[node]}",\n      "label": {text}\n    }}{end}'
+            text = label(node)
+            yield f'    {{\n      "bits": "{names[node]}",\n      "label": "{text}"\n    }}{end}'
         yield '  ],\n  "adjacency": {\n'
         cells = self._cell_bits
         for node in self.nodes:

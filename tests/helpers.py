@@ -312,7 +312,6 @@ def counted_format_value(monkeypatch):
         return format_value(value)
 
     monkeypatch.setattr("cutchains.matrices.format_value", counted)
-    monkeypatch.setattr("cutchains.cuts.format_value", counted)
     return calls
 
 

@@ -160,7 +160,7 @@ def test_command_loads_only_its_modules(tmp_path, argv, modules):
 
 
 # CLI commands, and whether a process running one loads json: only to read a
-# JSON input file or to quote the labels of a JSON lattice
+# JSON input file, as every output is written directly
 COMMAND_JSON = [
     (["count", "--n", "2"], False),
     (["table", "--max-n", "2"], False),
@@ -168,7 +168,7 @@ COMMAND_JSON = [
     (["sequence", "--max-n", "2"], False),
     (["enumerate", "--m", "3", "--k", "1", "--list"], False),
     (["lattice", "--m", "2"], False),
-    (["lattice", "--m", "2", "--format", "json"], True),
+    (["lattice", "--m", "2", "--format", "json"], False),
     (["classify", "--input", "{a}"], False),
     (["classify", "--input", "{corpus}"], True),
     (["signature", "--input", "{a}"], False),

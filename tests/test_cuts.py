@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import cutchains as cc
 from cutchains import CrispMatrix, FuzzyMatrix
-from cutchains import cuts
+from cutchains import cuts, enumeration, matrices
 from cutchains.matrices import MAX_DIGITS
 from helpers import (
     check_cuts_oracle,
@@ -438,6 +438,15 @@ class TestReportText:
         # nothing is kept between calls: a second report formats every value again
         assert result.to_json_list() == report
         assert dict(calls) == dict.fromkeys(distinct, 2)
+        # the CLI's writer, too, formats each distinct value once per call
+        calls.clear()
+        assert "".join(result._json_chunks()) == json.dumps(report, indent=2) + "\n"
+        assert dict(calls) == dict.fromkeys(distinct, 1)
+        # and so does one matrix's to_json_dict: 4,096 entries, 2 values
+        grid = [["0.25" if (i + j) % 2 else "0.5" for j in range(64)] for i in range(64)]
+        calls.clear()
+        FuzzyMatrix.from_rows(grid).to_json_dict()
+        assert dict(calls) == {F(1, 4): 1, F(1, 2): 1}
 
 
 class TestReportWriter:
@@ -495,7 +504,7 @@ class TestReportWriter:
         )
     )
     def test_value_texts_need_no_escape(self, value):
-        text = cuts.format_value(value)
+        text = matrices.format_value(value)
         assert text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
         assert json.dumps(text) == f'"{text}"'
 
@@ -505,6 +514,14 @@ class TestReportWriter:
         (text,) = cuts.ChainSignature(n, [mask]).to_json_dict()["cuts"]
         assert len(text) == n * n and not text.strip("01")
         assert json.dumps(text) == f'"{text}"'
+
+    @given(st.integers(0, 40).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, (1 << m) - 1))))
+    def test_lattice_labels_need_no_escape(self, m_mask):
+        # HasseDiagram.json_chunks quotes each label in place
+        m, mask = m_mask
+        for text in (cc.support_label(mask, m), enumeration._labeller(m)(mask)):
+            assert text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+            assert json.dumps(text) == f'"{text}"'
 
     def test_streams(self):
         # 4,096 one-member classes, the 0/1 order-4 matrices with bit 12 set: no

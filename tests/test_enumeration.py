@@ -697,7 +697,7 @@ class TestHasse:
         assert count == 2 + 2**16 + 16 * 2**15 + 1
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("m", range(8))
+    @pytest.mark.parametrize("m", range(13))
     def test_json_chunks_match_json_dumps(self, m):
         diagram = cc.hasse_export(m)
         text = "".join(diagram.json_chunks())
